@@ -16,20 +16,12 @@ from __future__ import annotations
 
 import json
 
-import pytest
 from conftest import FULL, RESULTS_DIR, save_figure
 
-from repro.experiments.bench import (
-    DEFAULT_BASELINE,
-    REFERENCE_SCHEDULER,
-    load_baseline,
-    measure_scale,
-)
-from repro.sim.schedulers import scheduler_names
+from repro.experiments.bench import DEFAULT_BASELINE, load_baseline, measure_scale
 
 
-@pytest.mark.parametrize("scheduler", scheduler_names())
-def bench_kernel_hot_path(benchmark, scheduler):
+def bench_kernel_hot_path(benchmark):
     # 60 simulated seconds matches the checked-in baseline entries, so the
     # regression assertion below applies in reduced mode too (a 64-node
     # minute simulates in well under a wall-second).
@@ -37,17 +29,11 @@ def bench_kernel_hot_path(benchmark, scheduler):
     sim_seconds = 60.0
 
     result = benchmark.pedantic(
-        lambda: measure_scale(
-            n_clients, sim_seconds=sim_seconds, repetitions=1,
-            scheduler=scheduler,
-        ),
+        lambda: measure_scale(n_clients, sim_seconds=sim_seconds, repetitions=1),
         rounds=1,
         iterations=1,
     )
-    save_figure(
-        f"kernel_hot_path_{scheduler}",
-        json.dumps(result, indent=2, sort_keys=True),
-    )
+    save_figure("kernel_hot_path", json.dumps(result, indent=2, sort_keys=True))
 
     benchmark.extra_info["events_per_sec"] = round(result["events_per_sec"])
     benchmark.extra_info["wall_s_per_sim_s"] = round(
@@ -56,11 +42,6 @@ def bench_kernel_hot_path(benchmark, scheduler):
 
     assert result["logical_events"] > 0
     assert result["engine_events"] > 0
-    if scheduler != REFERENCE_SCHEDULER:
-        # The checked-in baseline predates pluggable scheduling and is a
-        # heap measurement; non-reference schedulers are regression-gated
-        # by the scheduler guard in `repro bench` instead.
-        return
     baseline = load_baseline(DEFAULT_BASELINE)
     if baseline is None:
         baseline = load_baseline(RESULTS_DIR / "BENCH_kernel_baseline.json")

@@ -386,16 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(_bench.DEFAULT_SCALES),
         help="cluster sizes to measure (default: 64 256 1024 4096)",
     )
-    from repro.sim.schedulers import scheduler_names as _scheduler_names
-
-    bench.add_argument(
-        "--scheduler",
-        dest="schedulers",
-        choices=_scheduler_names(),
-        nargs="+",
-        default=list(_scheduler_names()),
-        help="event-queue scheduler(s) to measure (default: all)",
-    )
     bench.add_argument(
         "--sim-seconds",
         type=float,
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "add one batched-only calendar row at N nodes "
+            "add one batched-only row at N nodes "
             f"(default N: {_bench.BATCHED_SWEEP_SCALE})"
         ),
     )
@@ -676,25 +666,11 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             repetitions=repetitions,
             baseline_path=Path(args.baseline),
             output=Path(args.output),
-            schedulers=args.schedulers,
             batched_sweep_scale=batched_sweep,
         )
         failed = False
-        guard = payload["scheduler_guard"]
-        if guard is not None and not guard["within_budget"]:
-            print(
-                "[bench] FAIL: calendar scheduler fell below "
-                f"{bench_mod.SCHEDULER_BUDGET_RATIO:g}x heap throughput "
-                f"at {guard['n_clients']} nodes",
-                file=sys.stderr,
-            )
-            failed = True
         batched_guard = payload["batched_guard"]
-        if (
-            batched_guard is not None
-            and batched_guard["enforced"]
-            and not batched_guard["within_budget"]
-        ):
+        if batched_guard["enforced"] and not batched_guard["within_budget"]:
             print(
                 "[bench] FAIL: batched ticks fell below "
                 f"{bench_mod.BATCHED_BUDGET_RATIO:g}x per-node throughput "

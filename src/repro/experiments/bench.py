@@ -28,28 +28,18 @@ wall-clock ratio on the fixed scenario).  The engine-internal counters
 (``engine_events``, ``engine_events_per_sec``, ``engine_cancelled``)
 are reported alongside for context.
 
-Schedulers
-----------
-Every scale is measured once per event-queue scheduler (heap and
-calendar by default), interleaved within each repetition so
-machine-speed drift cancels between the implementations.  Calendar rows
-carry ``throughput_ratio_vs_heap``; the scheduler guard requires the
-calendar queue to match heap throughput (ratio >= 1.0) at the largest
-paper-range scale -- the O(log n) vs O(1) crossover this benchmark
-exists to demonstrate.
-
 Batched ticks
 -------------
-When the calendar scheduler is selected, a second guard pair compares
-per-node decider loops against the batched tick driver
-(``SimConfig(batched_ticks=True)``) at the largest scale: batching must
-deliver ``BATCHED_BUDGET_RATIO`` of extra throughput, and an optional
-batched-only row extends the sweep to ``BATCHED_SWEEP_SCALE`` (10k
-nodes) -- the point the per-node loops were too slow to pin.
+A guard pair compares per-node decider loops against the batched tick
+driver (``SimConfig(batched_ticks=True)``) at the largest scale:
+batching must deliver ``BATCHED_BUDGET_RATIO`` of extra throughput, and
+an optional batched-only row extends the sweep to
+``BATCHED_SWEEP_SCALE`` (10k nodes) -- the point the per-node loops
+were too slow to pin.
 
 A baseline file (``benchmarks/results/BENCH_kernel_baseline.json``,
 generated with the same procedure at the pre-optimization revision)
-adds ``speedup_vs_baseline`` to heap rows when present.
+adds ``speedup_vs_baseline`` to the rows when present.
 """
 
 from __future__ import annotations
@@ -64,28 +54,21 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import PenelopeConfig
 from repro.experiments.harness import RunSpec, build_run
 from repro.sim.config import SimConfig
-from repro.sim.schedulers import default_scheduler_name, scheduler_names
 
 #: Cluster sizes of the default sweep.  The paper's Fig. 6/8 range spans
 #: 44-1056 nodes; 64-1024 bracket it in powers of four and 4096 probes
-#: past the wall the calendar queue exists to break.
+#: past it.
 DEFAULT_SCALES = (64, 256, 1024, 4096)
 DEFAULT_SIM_SECONDS = 60.0
 #: Best-of-N wall time per row.  Five repetitions, not three: the
-#: scheduler guard compares two implementations whose 1024-node gap is
-#: a few percent, and the best-of estimator has to sit below the
-#: machine's noise floor (~2% on an otherwise idle host) for the
-#: comparison to be meaningful.
+#: guards compare effects of a few percent, and the best-of estimator
+#: has to sit below the machine's noise floor (~2% on an otherwise idle
+#: host) for the comparison to be meaningful.
 DEFAULT_REPETITIONS = 5
 
 #: Where the pre-optimization reference measurements live.
 DEFAULT_BASELINE = Path("benchmarks/results/BENCH_kernel_baseline.json")
 DEFAULT_OUTPUT = Path("BENCH_kernel.json")
-
-#: The reference scheduler: rows for the others are expressed relative
-#: to it, and baseline speedups attach only to its rows (the baseline
-#: predates pluggable scheduling and is implicitly a heap measurement).
-REFERENCE_SCHEDULER = "heap"
 
 #: The SWIM failure detector may not cost the kernel more than 5% of its
 #: event throughput on the nominal scenario (ISSUE 5 overhead budget):
@@ -96,16 +79,8 @@ MEMBERSHIP_BUDGET_RATIO = 0.95
 #: largest measured scale when 256 is not in the sweep).
 MEMBERSHIP_GUARD_SCALE = 256
 
-#: The calendar queue must at least match heap throughput at the guard
-#: scale; below 1.0 the O(1) structure is not paying for itself.
-SCHEDULER_BUDGET_RATIO = 1.0
-
-#: Scale at which the scheduler guard runs (falls back to the largest
-#: measured scale when 1024 is not in the sweep).
-SCHEDULER_GUARD_SCALE = 1024
-
 #: The batched tick driver (``SimConfig(batched_ticks=True)``) must
-#: reach at least this multiple of the *unbatched* calendar throughput
+#: reach at least this multiple of the *unbatched* throughput
 #: at the guard scale: replacing N generator resumes + N timeouts per
 #: period with one callback per period is the whole point, and a ratio
 #: below this means the batch loop's bookkeeping ate the win.
@@ -128,10 +103,6 @@ BATCHED_GUARD_SIM_SECONDS = 10.0
 #: First past-the-paper sweep point, measured batched-only -- the
 #: 10k-node row that the per-node loops were too slow to pin.
 BATCHED_SWEEP_SCALE = 10000
-
-#: Scheduler the batched guard and sweep run on: batching exists to
-#: extend the calendar queue's ceiling, so that is the pairing gated.
-BATCHED_GUARD_SCHEDULER = "calendar"
 
 
 def bench_spec(n_clients: int, membership: bool = False) -> RunSpec:
@@ -170,7 +141,6 @@ def _measure_once(
     n_clients: int,
     sim_seconds: float,
     membership: bool,
-    scheduler: Optional[str] = None,
     batched: bool = False,
 ) -> "Tuple[float, int, int, int]":
     """One timed run: ``(wall_s, logical, engine_events, engine_cancelled)``.
@@ -182,7 +152,7 @@ def _measure_once(
     """
     engine, cluster, manager = build_run(
         bench_spec(n_clients, membership=membership),
-        sim=SimConfig(scheduler=scheduler, batched_ticks=batched),
+        sim=SimConfig(batched_ticks=batched),
     )
     manager.start()
     for node in cluster.compute_nodes():
@@ -207,7 +177,6 @@ def _scale_entry(
     membership: bool,
     sim_seconds: float,
     repetitions: int,
-    scheduler: str,
     wall: float,
     counts: "Tuple[int, int, int]",
     batched: bool = False,
@@ -217,7 +186,6 @@ def _scale_entry(
     return {
         "n_clients": n_clients,
         "membership": membership,
-        "scheduler": scheduler,
         "batched_ticks": batched,
         "sim_seconds": sim_seconds,
         "repetitions": repetitions,
@@ -236,83 +204,34 @@ def measure_scale(
     sim_seconds: float = DEFAULT_SIM_SECONDS,
     repetitions: int = DEFAULT_REPETITIONS,
     membership: bool = False,
-    scheduler: Optional[str] = None,
     batched: bool = False,
 ) -> Dict[str, Any]:
     """Run the nominal scenario for ``sim_seconds`` and time the kernel.
 
     The best wall time across repetitions is reported to suppress
-    scheduler noise; the event counts are identical across repetitions
-    by determinism.
+    OS scheduling noise; the event counts are identical across
+    repetitions by determinism.
     """
-    name = scheduler if scheduler is not None else default_scheduler_name()
     best_wall: Optional[float] = None
     counts: "Tuple[int, int, int]" = (0, 0, 0)
     for _ in range(max(1, repetitions)):
         wall, logical, engine_events, engine_cancelled = _measure_once(
-            n_clients, sim_seconds, membership, scheduler=name, batched=batched
+            n_clients, sim_seconds, membership, batched=batched
         )
         counts = (logical, engine_events, engine_cancelled)
         if best_wall is None or wall < best_wall:
             best_wall = wall
     assert best_wall is not None
     return _scale_entry(
-        n_clients, membership, sim_seconds, repetitions, name, best_wall,
+        n_clients, membership, sim_seconds, repetitions, best_wall,
         counts, batched=batched,
     )
-
-
-def measure_scheduler_set(
-    n_clients: int,
-    sim_seconds: float = DEFAULT_SIM_SECONDS,
-    repetitions: int = DEFAULT_REPETITIONS,
-    schedulers: Sequence[str] = (REFERENCE_SCHEDULER,),
-    membership: bool = False,
-) -> Dict[str, Dict[str, Any]]:
-    """Measure one scale under each scheduler, interleaved.
-
-    Scheduler rows are compared against each other (the calendar guard),
-    so the same drift-cancellation treatment as the membership guard
-    applies: alternate the implementations within every repetition
-    instead of measuring them in separate blocks, then take best-of-N
-    per scheduler.  The within-repetition order also flips every
-    repetition: the second run of a pair lands on a warmed machine
-    (caches, branch predictors, ramped clocks) and measures 1-3% faster
-    for identical code, so a fixed order would systematically favor
-    whichever scheduler sorts last.
-    """
-    best: Dict[str, Optional[float]] = {name: None for name in schedulers}
-    counts: Dict[str, "Tuple[int, int, int]"] = {}
-    for repetition in range(max(1, repetitions)):
-        order = (
-            tuple(schedulers)
-            if repetition % 2 == 0
-            else tuple(reversed(schedulers))
-        )
-        for name in order:
-            wall, logical, engine_events, cancelled = _measure_once(
-                n_clients, sim_seconds, membership, scheduler=name
-            )
-            previous = best[name]
-            if previous is None or wall < previous:
-                best[name] = wall
-            counts[name] = (logical, engine_events, cancelled)
-    entries: Dict[str, Dict[str, Any]] = {}
-    for name in schedulers:
-        wall_best = best[name]
-        assert wall_best is not None
-        entries[name] = _scale_entry(
-            n_clients, membership, sim_seconds, repetitions, name,
-            wall_best, counts[name],
-        )
-    return entries
 
 
 def measure_guard_pair(
     n_clients: int,
     sim_seconds: float = DEFAULT_SIM_SECONDS,
     repetitions: int = DEFAULT_REPETITIONS,
-    scheduler: str = REFERENCE_SCHEDULER,
 ) -> "Tuple[Dict[str, Any], Dict[str, Any]]":
     """Measure membership-off and membership-on back to back, interleaved.
 
@@ -327,7 +246,7 @@ def measure_guard_pair(
     for _ in range(max(1, repetitions)):
         for membership in (False, True):
             wall, logical, engine_events, cancelled = _measure_once(
-                n_clients, sim_seconds, membership, scheduler=scheduler
+                n_clients, sim_seconds, membership
             )
             previous = best[membership]
             if previous is None or wall < previous:
@@ -338,7 +257,7 @@ def measure_guard_pair(
         wall = best[membership]
         assert wall is not None
         return _scale_entry(
-            n_clients, membership, sim_seconds, repetitions, scheduler,
+            n_clients, membership, sim_seconds, repetitions,
             wall, counts[membership],
         )
 
@@ -349,14 +268,13 @@ def measure_batched_pair(
     n_clients: int,
     sim_seconds: float = DEFAULT_SIM_SECONDS,
     repetitions: int = DEFAULT_REPETITIONS,
-    scheduler: str = BATCHED_GUARD_SCHEDULER,
 ) -> "Tuple[Dict[str, Any], Dict[str, Any]]":
     """Measure per-node and batched tick driving back to back, interleaved.
 
-    Returns ``(per_node_entry, batched_entry)`` on the same scheduler.
-    Identical drift-cancellation treatment as :func:`measure_guard_pair`:
-    the two tick drivers alternate within each repetition (order flipping
-    every repetition) so machine-speed drift samples both sides equally,
+    Returns ``(per_node_entry, batched_entry)``.  Identical
+    drift-cancellation treatment as :func:`measure_guard_pair`: the two
+    tick drivers alternate within each repetition (order flipping every
+    repetition) so machine-speed drift samples both sides equally,
     then best-of-N suppresses fast noise.  The nominal scenario staggers
     decider starts, which the batcher quantizes onto slots, so the two
     logical-event counts may differ by a handful of boundary ticks --
@@ -368,8 +286,7 @@ def measure_batched_pair(
         order = (False, True) if repetition % 2 == 0 else (True, False)
         for batched in order:
             wall, logical, engine_events, cancelled = _measure_once(
-                n_clients, sim_seconds, membership=False,
-                scheduler=scheduler, batched=batched,
+                n_clients, sim_seconds, membership=False, batched=batched,
             )
             previous = best[batched]
             if previous is None or wall < previous:
@@ -380,7 +297,7 @@ def measure_batched_pair(
         wall = best[batched]
         assert wall is not None
         return _scale_entry(
-            n_clients, False, sim_seconds, repetitions, scheduler,
+            n_clients, False, sim_seconds, repetitions,
             wall, counts[batched], batched=batched,
         )
 
@@ -388,20 +305,11 @@ def measure_batched_pair(
 
 
 def load_baseline(path: Path) -> Optional[Dict[int, Dict[str, Any]]]:
-    """Baseline measurements keyed by cluster size, or None if absent.
-
-    Rows measured under a non-reference scheduler (present once the
-    baseline itself is regenerated from a multi-scheduler payload) are
-    skipped: cross-revision speedups are only meaningful heap-to-heap.
-    """
+    """Baseline measurements keyed by cluster size, or None if absent."""
     if not path.is_file():
         return None
     data = json.loads(path.read_text())
-    return {
-        entry["n_clients"]: entry
-        for entry in data["scales"]
-        if entry.get("scheduler", REFERENCE_SCHEDULER) == REFERENCE_SCHEDULER
-    }
+    return {entry["n_clients"]: entry for entry in data["scales"]}
 
 
 def run_bench(
@@ -410,156 +318,85 @@ def run_bench(
     repetitions: int = DEFAULT_REPETITIONS,
     baseline_path: Path = DEFAULT_BASELINE,
     progress: bool = False,
-    schedulers: Optional[Sequence[str]] = None,
     batched_sweep_scale: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Measure every scale x scheduler and assemble the payload.
+    """Measure every scale plus the guards and assemble the payload.
 
     ``batched_sweep_scale`` (e.g. ``BATCHED_SWEEP_SCALE``) adds one
-    batched-only calendar row past the interleaved sweep -- the
-    10k-node point where the per-node tick loops are too slow to be
-    worth pinning.  ``None`` (the default) skips it; the batched guard
-    itself runs whenever the calendar scheduler is selected.
+    batched-only row past the sweep -- the 10k-node point where the
+    per-node tick loops are too slow to be worth pinning.  ``None`` (the
+    default) skips it; the batched guard itself always runs.
     """
-    if schedulers is None:
-        schedulers = tuple(scheduler_names())
     baseline = load_baseline(baseline_path)
     results: List[Dict[str, Any]] = []
-    guard_rows: Dict[int, Dict[str, Dict[str, Any]]] = {}
     for n in scales:
-        entries = measure_scheduler_set(
-            n, sim_seconds=sim_seconds, repetitions=repetitions,
-            schedulers=schedulers,
-        )
-        guard_rows[n] = entries
-        reference = entries.get(REFERENCE_SCHEDULER)
-        for name in schedulers:
-            entry = entries[name]
-            if name == REFERENCE_SCHEDULER:
-                base = baseline.get(n) if baseline else None
-                if base is not None:
-                    # Same logical workload on both sides, so the
-                    # events/sec ratio and the wall-time ratio are the
-                    # same number.
-                    entry["baseline_events_per_sec"] = base["events_per_sec"]
-                    entry["baseline_wall_s_per_sim_s"] = base["wall_s_per_sim_s"]
-                    entry["speedup_vs_baseline"] = (
-                        entry["events_per_sec"] / base["events_per_sec"]
-                    )
-            elif reference is not None:
-                entry["throughput_ratio_vs_heap"] = (
-                    entry["events_per_sec"] / reference["events_per_sec"]
-                )
-            if progress:
-                extras = []
-                speedup = entry.get("speedup_vs_baseline")
-                if speedup is not None:
-                    extras.append(f"speedup={speedup:.2f}x")
-                ratio = entry.get("throughput_ratio_vs_heap")
-                if ratio is not None:
-                    extras.append(f"vs-heap={ratio:.3f}x")
-                extra = ("  " + "  ".join(extras)) if extras else ""
-                print(
-                    f"[bench] {n:5d} nodes [{name:>8s}]: "
-                    f"{entry['wall_s']:.3f}s wall for {sim_seconds:g} sim-s "
-                    f"({entry['events_per_sec']:,.0f} events/s){extra}"
-                )
-            results.append(entry)
-    # -- scheduler throughput guard -----------------------------------------
-    # At the largest paper-range scale the calendar queue must at least
-    # match the heap: that crossover is the tentpole claim, and a
-    # regression here means the O(1) bucket machinery stopped paying for
-    # its constant factor.
-    scheduler_guard: Optional[Dict[str, Any]] = None
-    comparable = [s for s in schedulers if s != REFERENCE_SCHEDULER]
-    if comparable and REFERENCE_SCHEDULER in schedulers:
-        guard_n = (
-            SCHEDULER_GUARD_SCALE
-            if SCHEDULER_GUARD_SCALE in scales
-            else max(scales)
-        )
-        guard_entries = guard_rows[guard_n]
-        ratios = {
-            name: guard_entries[name]["throughput_ratio_vs_heap"]
-            for name in comparable
-        }
-        scheduler_guard = {
-            "n_clients": guard_n,
-            "reference": REFERENCE_SCHEDULER,
-            "ratios": ratios,
-            "budget_ratio": SCHEDULER_BUDGET_RATIO,
-            "within_budget": all(
-                ratio >= SCHEDULER_BUDGET_RATIO for ratio in ratios.values()
-            ),
-        }
+        entry = measure_scale(n, sim_seconds=sim_seconds, repetitions=repetitions)
+        base = baseline.get(n) if baseline else None
+        if base is not None:
+            # Same logical workload on both sides, so the events/sec
+            # ratio and the wall-time ratio are the same number.
+            entry["baseline_events_per_sec"] = base["events_per_sec"]
+            entry["baseline_wall_s_per_sim_s"] = base["wall_s_per_sim_s"]
+            entry["speedup_vs_baseline"] = (
+                entry["events_per_sec"] / base["events_per_sec"]
+            )
         if progress:
-            verdict = "PASS" if scheduler_guard["within_budget"] else "FAIL"
-            shown = ", ".join(
-                f"{name}={ratio:.3f}x" for name, ratio in sorted(ratios.items())
-            )
+            speedup = entry.get("speedup_vs_baseline")
+            extra = f"  speedup={speedup:.2f}x" if speedup is not None else ""
             print(
-                f"[bench] scheduler guard @ {guard_n} nodes: {shown} "
-                f"(budget >= {SCHEDULER_BUDGET_RATIO:g}x of heap) {verdict}"
+                f"[bench] {n:5d} nodes: "
+                f"{entry['wall_s']:.3f}s wall for {sim_seconds:g} sim-s "
+                f"({entry['events_per_sec']:,.0f} events/s){extra}"
             )
+        results.append(entry)
     # -- batched tick guard --------------------------------------------------
-    # Batching must beat per-node loops by BATCHED_BUDGET_RATIO on the
-    # calendar queue at the largest measured scale: one callback per
-    # period per stagger slot versus N generator resumes + N timeouts.
-    # Both sides are re-measured interleaved (not taken from the sweep
-    # above) so machine-speed drift cancels.
-    batched_guard: Optional[Dict[str, Any]] = None
-    if BATCHED_GUARD_SCHEDULER in schedulers:
-        batched_n = (
-            BATCHED_GUARD_SCALE
-            if BATCHED_GUARD_SCALE in scales
-            else max(scales)
+    # Batching must beat per-node loops by BATCHED_BUDGET_RATIO at the
+    # largest measured scale: one callback per period per stagger slot
+    # versus N generator resumes + N timeouts.  Both sides are
+    # re-measured interleaved (not taken from the sweep above) so
+    # machine-speed drift cancels.
+    batched_n = (
+        BATCHED_GUARD_SCALE if BATCHED_GUARD_SCALE in scales else max(scales)
+    )
+    per_node, batched_entry = measure_batched_pair(
+        batched_n,
+        sim_seconds=min(sim_seconds, BATCHED_GUARD_SIM_SECONDS),
+        repetitions=repetitions,
+    )
+    batched_ratio = batched_entry["events_per_sec"] / per_node["events_per_sec"]
+    batched_guard: Dict[str, Any] = {
+        "n_clients": batched_n,
+        "per_node": per_node,
+        "batched": batched_entry,
+        "speedup_vs_per_node": batched_ratio,
+        "budget_ratio": BATCHED_BUDGET_RATIO,
+        "within_budget": batched_ratio >= BATCHED_BUDGET_RATIO,
+        # The 1.3x claim is about amortizing per-node overheads at
+        # scale; a fallback run at 64 nodes has little to amortize, so
+        # the budget only gates when the 4096-node target ran.
+        "enforced": batched_n >= BATCHED_GUARD_SCALE,
+    }
+    if progress:
+        verdict = "PASS" if batched_guard["within_budget"] else (
+            "FAIL" if batched_guard["enforced"] else "below-target scale"
         )
-        per_node, batched_entry = measure_batched_pair(
-            batched_n,
-            sim_seconds=min(sim_seconds, BATCHED_GUARD_SIM_SECONDS),
-            repetitions=repetitions,
-            scheduler=BATCHED_GUARD_SCHEDULER,
+        print(
+            f"[bench] batched guard @ {batched_n} nodes: "
+            f"{batched_entry['wall_s']:.3f}s wall vs "
+            f"{per_node['wall_s']:.3f}s per-node "
+            f"({batched_ratio:.3f}x, budget >= "
+            f"{BATCHED_BUDGET_RATIO:g}x) {verdict}"
         )
-        batched_ratio = (
-            batched_entry["events_per_sec"] / per_node["events_per_sec"]
-        )
-        batched_guard = {
-            "n_clients": batched_n,
-            "scheduler": BATCHED_GUARD_SCHEDULER,
-            "per_node": per_node,
-            "batched": batched_entry,
-            "speedup_vs_per_node": batched_ratio,
-            "budget_ratio": BATCHED_BUDGET_RATIO,
-            "within_budget": batched_ratio >= BATCHED_BUDGET_RATIO,
-            # The 1.3x claim is about amortizing per-node overheads at
-            # scale; a fallback run at 64 nodes has little to amortize,
-            # so the budget only gates when the 4096-node target ran.
-            "enforced": batched_n >= BATCHED_GUARD_SCALE,
-        }
-        if progress:
-            verdict = "PASS" if batched_guard["within_budget"] else (
-                "FAIL" if batched_guard["enforced"] else "below-target scale"
-            )
-            print(
-                f"[bench] batched guard @ {batched_n} nodes "
-                f"[{BATCHED_GUARD_SCHEDULER}]: "
-                f"{batched_entry['wall_s']:.3f}s wall vs "
-                f"{per_node['wall_s']:.3f}s per-node "
-                f"({batched_ratio:.3f}x, budget >= "
-                f"{BATCHED_BUDGET_RATIO:g}x) {verdict}"
-            )
     # -- batched 10k sweep row ----------------------------------------------
     batched_sweep: Optional[Dict[str, Any]] = None
-    if batched_sweep_scale and BATCHED_GUARD_SCHEDULER in schedulers:
+    if batched_sweep_scale:
         batched_sweep = measure_scale(
             batched_sweep_scale, sim_seconds=sim_seconds,
-            repetitions=repetitions, scheduler=BATCHED_GUARD_SCHEDULER,
-            batched=True,
+            repetitions=repetitions, batched=True,
         )
         if progress:
             print(
-                f"[bench] {batched_sweep_scale:5d} nodes "
-                f"[{BATCHED_GUARD_SCHEDULER}, batched]: "
+                f"[bench] {batched_sweep_scale:5d} nodes [batched]: "
                 f"{batched_sweep['wall_s']:.3f}s wall for "
                 f"{sim_seconds:g} sim-s "
                 f"({batched_sweep['events_per_sec']:,.0f} events/s)"
@@ -570,19 +407,14 @@ def run_bench(
     # events/sec ratio isolates per-event kernel cost -- membership must
     # keep at least MEMBERSHIP_BUDGET_RATIO of the plain throughput.  The
     # plain side is re-measured interleaved with the membership side (not
-    # taken from the sweep above) so machine-speed drift cancels.  Runs
-    # on the reference scheduler (or the only one selected).
+    # taken from the sweep above) so machine-speed drift cancels.
     guard_n = (
         MEMBERSHIP_GUARD_SCALE
         if MEMBERSHIP_GUARD_SCALE in scales
         else max(scales)
     )
-    guard_scheduler = (
-        REFERENCE_SCHEDULER if REFERENCE_SCHEDULER in schedulers else schedulers[0]
-    )
     plain, membership_entry = measure_guard_pair(
         guard_n, sim_seconds=sim_seconds, repetitions=repetitions,
-        scheduler=guard_scheduler,
     )
     ratio = membership_entry["events_per_sec"] / plain["events_per_sec"]
     membership_entry["plain_events_per_sec"] = plain["events_per_sec"]
@@ -611,9 +443,7 @@ def run_bench(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "baseline": str(baseline_path) if baseline else None,
-        "schedulers": list(schedulers),
         "scales": results,
-        "scheduler_guard": scheduler_guard,
         "batched_guard": batched_guard,
         "batched_sweep": batched_sweep,
         "membership": membership_entry,
@@ -627,38 +457,23 @@ def write_bench(payload: Dict[str, Any], output: Path = DEFAULT_OUTPUT) -> Path:
 
 def write_bench_split(
     payload: Dict[str, Any], output: Path = DEFAULT_OUTPUT
-) -> List[Path]:
-    """Write one per-mode file next to ``output`` (CI artifacts).
+) -> Path:
+    """Write the batched-mode file next to ``output`` (CI artifact).
 
-    ``BENCH_kernel.json`` -> ``BENCH_kernel.heap.json`` etc., each
-    holding only that scheduler's scale rows so artifact diffs compare
-    like against like.  When the batched guard ran, an additional
-    ``BENCH_kernel.batched.json`` collects every batched-tick row (the
-    guard pair plus the 10k sweep row, if measured) so the batched mode
-    diffs as its own series too.
+    ``BENCH_kernel.json`` -> ``BENCH_kernel.batched.json``, collecting
+    every batched-tick row (the guard pair plus the 10k sweep row, if
+    measured) so the batched mode diffs as its own series.
     """
-    paths: List[Path] = []
-    for name in payload.get("schedulers", []):
-        sub = dict(payload)
-        sub["scheduler"] = name
-        sub["scales"] = [
-            entry for entry in payload["scales"] if entry["scheduler"] == name
-        ]
-        path = output.with_name(f"{output.stem}.{name}{output.suffix}")
-        path.write_text(json.dumps(sub, indent=2, sort_keys=True) + "\n")
-        paths.append(path)
-    batched_guard = payload.get("batched_guard")
-    if batched_guard is not None:
-        batched_rows = [batched_guard["per_node"], batched_guard["batched"]]
-        if payload.get("batched_sweep") is not None:
-            batched_rows.append(payload["batched_sweep"])
-        sub = dict(payload)
-        sub["mode"] = "batched_ticks"
-        sub["scales"] = batched_rows
-        path = output.with_name(f"{output.stem}.batched{output.suffix}")
-        path.write_text(json.dumps(sub, indent=2, sort_keys=True) + "\n")
-        paths.append(path)
-    return paths
+    batched_guard = payload["batched_guard"]
+    batched_rows = [batched_guard["per_node"], batched_guard["batched"]]
+    if payload.get("batched_sweep") is not None:
+        batched_rows.append(payload["batched_sweep"])
+    sub = dict(payload)
+    sub["mode"] = "batched_ticks"
+    sub["scales"] = batched_rows
+    path = output.with_name(f"{output.stem}.batched{output.suffix}")
+    path.write_text(json.dumps(sub, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def main(
@@ -667,7 +482,6 @@ def main(
     repetitions: int = DEFAULT_REPETITIONS,
     baseline_path: Path = DEFAULT_BASELINE,
     output: Path = DEFAULT_OUTPUT,
-    schedulers: Optional[Sequence[str]] = None,
     batched_sweep_scale: Optional[int] = None,
 ) -> Dict[str, Any]:
     """CLI entry: run the sweep, print progress, write the JSON."""
@@ -677,11 +491,9 @@ def main(
         repetitions=repetitions,
         baseline_path=baseline_path,
         progress=True,
-        schedulers=schedulers,
         batched_sweep_scale=batched_sweep_scale,
     )
     path = write_bench(payload, output=output)
     print(f"[bench] wrote {path}")
-    for split in write_bench_split(payload, output=output):
-        print(f"[bench] wrote {split}")
+    print(f"[bench] wrote {write_bench_split(payload, output=output)}")
     return payload

@@ -434,7 +434,7 @@ def run_chaos_single(
 ) -> ChaosResult:
     """Run one seeded chaos storm to its horizon under continuous audit.
 
-    ``sim`` selects kernel knobs (scheduler, batched ticks) exactly as in
+    ``sim`` selects kernel knobs (batched ticks) exactly as in
     :func:`repro.experiments.harness.run_single`; ``None`` defers to the
     ambient environment defaults.  The pinned chaos fixture passes
     ``SimConfig(batched_ticks=False)`` -- its bytes encode the staggered
@@ -445,7 +445,7 @@ def run_chaos_single(
     default invariant set; ``fail_fast=False`` records violations in the
     result instead of raising at the first one.
     """
-    engine = Engine(scheduler=sim)
+    engine = Engine(sim=sim)
     rngs = RngRegistry(seed=spec.seed)
     config = PenelopeConfig(
         response_timeout_s=spec.response_timeout_s,

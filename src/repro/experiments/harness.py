@@ -23,7 +23,7 @@ from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.net.network import NetworkStats
 from repro.sim.config import SimConfig
-from repro.sim.engine import Engine, SchedulerSpec
+from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
 
@@ -145,12 +145,11 @@ def build_run(spec: RunSpec, sim: Optional[SimConfig] = None):
     """Construct (engine, cluster, manager) for ``spec`` without running.
 
     Exposed separately so tests and examples can poke at a mid-flight
-    simulation.  ``sim`` selects kernel knobs (e.g. the event-queue
-    scheduler); it deliberately lives outside :class:`RunSpec` because it
+    simulation.  ``sim`` selects kernel knobs (e.g. batched decider
+    ticks); it deliberately lives outside :class:`RunSpec` because it
     must never change what is simulated -- only how.
     """
-    scheduler: SchedulerSpec = sim
-    engine = Engine(scheduler=scheduler)
+    engine = Engine(sim=sim)
     rngs = RngRegistry(seed=spec.seed)
     extra = extra_nodes(spec.manager)
     manager = make_manager(

@@ -27,7 +27,7 @@ def add_lint_parser(sub: Any) -> None:
     """Register the ``lint`` subcommand on the top-level CLI parser."""
     cmd = sub.add_parser(
         "lint",
-        help="static determinism & conservation analysis (rules R1-R10)",
+        help="static determinism & conservation analysis (rules R1-R6, R8-R11)",
         description=(
             "AST-based analyzer enforcing the simulator's determinism and "
             "watt-conservation invariants; --project adds the whole-program "

@@ -13,7 +13,7 @@ declares:
     ``repro`` package (e.g. test fixtures) are always in scope, so
     fixture snippets can exercise scoped rules.
 ``requires_project``
-    Whole-program rules (R8-R10) set this; they run once per analyzer
+    Whole-program rules (R8-R11) set this; they run once per analyzer
     pass against a :class:`~repro.lint.project.ProjectContext` (built
     only in ``--project`` mode) instead of once per file.
 """

@@ -3,7 +3,9 @@
 Importing this package registers every rule module with
 :mod:`repro.lint.registry`.  Adding a rule = adding a module here with a
 ``@register``-decorated :class:`~repro.lint.registry.Rule` subclass and
-importing it below.
+importing it below.  Rule IDs are never reused or renumbered, because
+inline suppressions cite them; retired IDs are listed in
+``docs/LINTING.md``.
 """
 
 from repro.lint.rules import (  # noqa: F401  (import side effect: registration)
@@ -13,7 +15,6 @@ from repro.lint.rules import (  # noqa: F401  (import side effect: registration)
     r4_frozen_messages,
     r5_ledger_mutation,
     r6_callback_names,
-    r7_scheduler_order,
     r8_layering,
     r9_protocol,
     r10_stream_graph,
@@ -27,7 +28,6 @@ __all__ = [
     "r4_frozen_messages",
     "r5_ledger_mutation",
     "r6_callback_names",
-    "r7_scheduler_order",
     "r8_layering",
     "r9_protocol",
     "r10_stream_graph",

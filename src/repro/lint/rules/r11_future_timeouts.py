@@ -22,7 +22,7 @@ Flagged in the ``repro/experiments`` layer:
 
 Project-scoped (``requires_project``): the rule rides the whole-program
 scan alongside the other cross-file architecture rules, keeping the
-per-file mode's R1-R7 contract stable for partial trees.
+per-file mode's R1-R6 contract stable for partial trees.
 """
 
 from __future__ import annotations

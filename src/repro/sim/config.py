@@ -1,15 +1,11 @@
 """Simulation-kernel configuration.
 
-:class:`SimConfig` selects *how* a scenario is executed (which event
-scheduler drives the queue, whether same-period decider ticks are
-batched), as opposed to the protocol configs under
-:mod:`repro.core.config` which select *what* is simulated.  Any two
-``SimConfig`` values must replay a given scenario identically -- the
-scheduler axis byte-identically (enforced by the differential scheduler
-rig in ``tests/test_sim_scheduler_equivalence.py`` and the pinned
-fixtures), the batched-tick axis outcome-identically (transactions, cap
-trajectories, ledger balances; see
-``tests/test_sim_batched_equivalence.py``).
+:class:`SimConfig` selects *how* a scenario is executed (whether
+same-period decider ticks are batched), as opposed to the protocol
+configs under :mod:`repro.core.config` which select *what* is
+simulated.  Any two ``SimConfig`` values must replay a given scenario
+outcome-identically (transactions, cap trajectories, ledger balances;
+see ``tests/test_sim_batched_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -18,11 +14,11 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.sim.schedulers import SCHEDULERS, Scheduler, default_scheduler_name, make_scheduler
+from repro.sim.schedulers import HeapScheduler
 
-#: Environment fallback for :attr:`SimConfig.batched_ticks` (mirrors
-#: ``REPRO_SCHEDULER``): any of ``1/true/on/yes`` enables batching when
-#: the config leaves the knob at ``None``.
+#: Environment fallback for :attr:`SimConfig.batched_ticks`: any of
+#: ``1/true/on/yes`` enables batching when the config leaves the knob at
+#: ``None``.
 BATCHED_TICKS_ENV = "REPRO_BATCHED_TICKS"
 
 #: Default number of stagger slots for batched ticks.  Per-node start
@@ -46,9 +42,10 @@ def default_batched_ticks() -> bool:
 class SimConfig:
     """Kernel knobs for one simulation run.
 
-    ``scheduler`` is a name from :data:`repro.sim.schedulers.SCHEDULERS`
-    (``"heap"`` or ``"calendar"``); ``None`` defers to the
-    ``REPRO_SCHEDULER`` environment variable and finally to the heap.
+    ``scheduler`` names the event queue.  The engine has exactly one,
+    the binary heap, so the only accepted values are ``None`` and
+    ``"heap"``; anything else raises :class:`ValueError` rather than
+    silently running on the heap.
 
     ``batched_ticks`` drives all same-period decider ticks from a single
     batch event per period instead of one timeout + generator resume per
@@ -63,17 +60,17 @@ class SimConfig:
     tick_slots: int = DEFAULT_TICK_SLOTS
 
     def __post_init__(self) -> None:
-        if self.scheduler is not None and self.scheduler not in SCHEDULERS:
+        if self.scheduler not in (None, "heap"):
             raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"choose from {sorted(SCHEDULERS)}"
+                f"unknown scheduler {self.scheduler!r}; the only event "
+                "queue is 'heap'"
             )
         if self.tick_slots < 1:
             raise ValueError("tick_slots must be at least 1")
 
-    def make_scheduler(self) -> Scheduler:
-        """Instantiate the configured (or ambient-default) scheduler."""
-        return make_scheduler(self.scheduler or default_scheduler_name())
+    def make_scheduler(self) -> HeapScheduler:
+        """A fresh event queue (always the binary heap)."""
+        return HeapScheduler()
 
     def effective_batched_ticks(self) -> bool:
         """The batched-ticks setting actually used (env-resolved)."""

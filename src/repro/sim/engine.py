@@ -3,27 +3,23 @@
 The engine owns a queue of triggered events keyed by ``(time, priority,
 sequence)``.  The sequence number makes simultaneous events process in
 trigger order, which (together with seeded RNG streams) makes every
-simulation fully deterministic.
-
-The queue itself is pluggable (:mod:`repro.sim.schedulers`): the engine
-only relies on the scheduler surfacing entries in the exact total key
-order, so the default binary heap and the calendar queue replay any
-scenario byte-identically -- the property pinned by the differential
-rig in ``tests/test_sim_scheduler_equivalence.py``.
+simulation fully deterministic.  The queue is a binary heap with lazy
+deletion (:class:`~repro.sim.schedulers.HeapScheduler`).
 
 Hot-path notes
 --------------
 ``run`` inlines the pop/process cycle instead of calling :meth:`step`
 per event: at paper scale the loop dispatches hundreds of thousands of
 events per wall-second, and the per-event call overhead is measurable
-(see ``benchmarks/bench_kernel.py``).  Event constructors push onto the
-queue through the pre-bound ``engine._push`` rather than a scheduler
-method lookup.  Cancelled events (lazy deletion,
+(see ``benchmarks/bench_kernel.py``).  Every ``run`` mode drains the
+same loop over ``pop_due(horizon)``; running to a drained queue or to
+a stop event uses an infinite horizon.  Event constructors push onto
+the queue through the pre-bound ``engine._push`` rather than a method
+lookup.  Cancelled events (lazy deletion,
 :meth:`repro.sim.events.Timeout.cancel`) are counted eagerly at cancel
-time -- :meth:`Engine._note_cancelled` -- and the scheduler drops their
-queue entries internally (at surfacing or in bulk routing/resize
-sweeps), so they never reach the dispatch loop and never count toward
-``processed_events``.
+time -- :meth:`Engine._note_cancelled` -- and the queue drops their
+entries internally (at the head or in a bulk compaction), so they never
+reach the dispatch loop and never count toward ``processed_events``.
 """
 
 from __future__ import annotations
@@ -42,7 +38,10 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.schedulers import Scheduler, make_scheduler, default_scheduler_name
+from repro.sim.schedulers import HeapScheduler
+
+#: Horizon of ``run(until=None)`` and ``run(until=<event>)``.
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -55,20 +54,6 @@ class StopSimulation(Exception):
     def __init__(self, value: Any = None) -> None:
         super().__init__(value)
         self.value = value
-
-
-#: How a scheduler may be selected at engine construction.
-SchedulerSpec = Union[None, str, Scheduler, SimConfig]
-
-
-def _resolve_scheduler(spec: SchedulerSpec) -> Scheduler:
-    if spec is None:
-        return make_scheduler(default_scheduler_name())
-    if isinstance(spec, Scheduler):
-        return spec
-    if isinstance(spec, SimConfig):
-        return spec.make_scheduler()
-    return make_scheduler(spec)
 
 
 class Engine:
@@ -86,24 +71,22 @@ class Engine:
         engine.run()
         assert engine.now == 1.0 and proc.value == "done"
 
-    ``scheduler`` selects the event-queue implementation: a name from
-    :data:`repro.sim.schedulers.SCHEDULERS`, a ready instance, or a
-    :class:`~repro.sim.config.SimConfig`; ``None`` (the default) honors
-    the ``REPRO_SCHEDULER`` environment variable and falls back to the
-    binary heap.
+    ``sim`` carries the kernel knobs (batched decider ticks and their
+    stagger slots); ``None`` takes the ambient defaults
+    (``REPRO_BATCHED_TICKS``, then off).
     """
 
     def __init__(
-        self, start_time: float = 0.0, scheduler: SchedulerSpec = None
+        self, start_time: float = 0.0, sim: Optional[SimConfig] = None
     ) -> None:
         self._now = float(start_time)
-        self._scheduler = _resolve_scheduler(scheduler)
+        self._scheduler = HeapScheduler()
         #: Kernel execution-mode flags, read by agent builders (the
         #: Penelope manager checks them to decide whether to drive its
         #: deciders through a :class:`~repro.core.batcher.TickBatcher`).
-        if isinstance(scheduler, SimConfig):
-            self.batched_ticks = scheduler.effective_batched_ticks()
-            self.tick_slots = scheduler.tick_slots
+        if sim is not None:
+            self.batched_ticks = sim.effective_batched_ticks()
+            self.tick_slots = sim.tick_slots
         else:
             self.batched_ticks = default_batched_ticks()
             self.tick_slots = DEFAULT_TICK_SLOTS
@@ -132,8 +115,8 @@ class Engine:
         return self._active_process
 
     @property
-    def scheduler(self) -> Scheduler:
-        """The event-queue scheduler driving this engine."""
+    def scheduler(self) -> HeapScheduler:
+        """The event queue driving this engine."""
         return self._scheduler
 
     # -- factories -----------------------------------------------------------
@@ -181,14 +164,16 @@ class Engine:
         self, event: EventBase, delay: float = 0.0, priority: int = PRIORITY_NORMAL
     ) -> None:
         """Put a triggered event on the processing queue."""
-        if delay < 0:
+        # ``not >=`` rather than ``<``: it also rejects NaN, whose entry
+        # would break the queue's total order.
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         self._push((self._now + delay, priority, next(self._sequence), event))
 
     def _note_cancelled(self) -> None:
         """Record a queued event's cancellation (called by ``cancel()``).
 
-        Counts the cancellation eagerly and tells the scheduler, whose
+        Counts the cancellation eagerly and tells the queue, whose
         live ``len()`` excludes dead entries from this point on and
         which compacts itself when dead entries pile up.
         """
@@ -226,34 +211,10 @@ class Engine:
         * ``until=<event>`` -- run until that event is processed and return
           its value (raising if it failed).
         """
-        pop = self._scheduler.pop
-        # Counter updates are batched in a local and flushed in ``finally``:
-        # an instance-attribute read-modify-write per event is measurable
-        # at paper scale.
-        processed = 0
-
+        stop_event: Optional[EventBase] = None
         if until is None:
-            try:
-                while True:
-                    item = pop()
-                    if item is None:
-                        break
-                    when, _, _, event = item
-                    if event._cancelled:  # pragma: no cover - scheduler drops these
-                        continue
-                    self._now = when
-                    processed += 1
-                    event._process()
-                    if not event._ok and not event._defused:
-                        exc = event.value
-                        raise SimulationError(
-                            f"unhandled failure of {event!r}: {exc!r}"
-                        ) from exc
-            finally:
-                self.processed_events += processed
-            return None
-
-        if isinstance(until, EventBase):
+            horizon = _INF
+        elif isinstance(until, EventBase):
             stop_event = until
             if stop_event.callbacks is None:
                 # Already processed.
@@ -261,46 +222,24 @@ class Engine:
                     raise stop_event.value
                 return stop_event.value
             stop_event.callbacks.append(_stop_callback)
-            try:
-                while True:
-                    item = pop()
-                    if item is None:
-                        raise SimulationError(
-                            f"event queue drained before {stop_event!r} fired"
-                        )
-                    when, _, _, event = item
-                    if event._cancelled:  # pragma: no cover - scheduler drops these
-                        continue
-                    self._now = when
-                    processed += 1
-                    event._process()
-                    if not event._ok and not event._defused:
-                        exc = event.value
-                        raise SimulationError(
-                            f"unhandled failure of {event!r}: {exc!r}"
-                        ) from exc
-            except StopSimulation as stop:
-                event = stop.value
-                if not event.ok:
-                    raise event.value
-                return event.value
-            finally:
-                self.processed_events += processed
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(
-                f"until={horizon!r} lies in the past (now={self._now!r})"
-            )
+            horizon = _INF
+        else:
+            horizon = float(until)
+            if not horizon >= self._now:
+                raise ValueError(
+                    f"until={horizon!r} lies in the past (now={self._now!r})"
+                )
         pop_due = self._scheduler.pop_due
+        # Counter updates are batched in a local and flushed in ``finally``:
+        # an instance-attribute read-modify-write per event is measurable
+        # at paper scale.
+        processed = 0
         try:
             while True:
                 item = pop_due(horizon)
                 if item is None:
                     break
                 when, _, _, event = item
-                if event._cancelled:  # pragma: no cover - scheduler drops these
-                    continue
                 self._now = when
                 processed += 1
                 event._process()
@@ -309,9 +248,19 @@ class Engine:
                     raise SimulationError(
                         f"unhandled failure of {event!r}: {exc!r}"
                     ) from exc
+        except StopSimulation as stop:
+            event = stop.value
+            if not event.ok:
+                raise event.value
+            return event.value
         finally:
             self.processed_events += processed
-        self._now = horizon
+        if stop_event is not None:
+            raise SimulationError(
+                f"event queue drained before {stop_event!r} fired"
+            )
+        if until is not None:
+            self._now = horizon
         return None
 
 

@@ -55,9 +55,9 @@ class EventBase:
         # the exception at the top level unless the failure was "defused" by
         # being delivered into a process.
         self._defused = False
-        # Lazily-deleted queue entries (see Timeout.cancel): the
-        # scheduler drops cancelled events -- at the queue head or in a
-        # bulk sweep -- instead of ever surfacing them for processing.
+        # Lazily-deleted queue entries (see Timeout.cancel): the queue
+        # drops cancelled events -- at its head or in a bulk compaction
+        # -- instead of ever surfacing them for processing.
         self._cancelled = False
 
     # -- state inspection ------------------------------------------------
@@ -95,13 +95,13 @@ class EventBase:
         """
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         self._ok = True
         self._value = value
         # Inlined Engine._schedule: triggering is one of the kernel's
         # hottest operations (every grant, inbox hand-off and process
-        # completion lands here).  ``_push`` is the scheduler's pre-bound
+        # completion lands here).  ``_push`` is the queue's pre-bound
         # enqueue (see repro.sim.schedulers).
         engine = self.engine
         engine._push(
@@ -119,7 +119,7 @@ class EventBase:
             raise TypeError(f"fail() requires an exception, got {exception!r}")
         if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"cannot schedule into the past (delay={delay!r})")
         self._ok = False
         self._value = exception
@@ -172,7 +172,7 @@ class Timeout(EventBase):
         value: Any = None,
         name: Optional[str] = None,
     ) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative timeout delay: {delay!r}")
         # Inlined EventBase.__init__ + Engine._schedule: timeouts are the
         # single most-allocated event type (every tick, wait and deadline),
@@ -192,12 +192,12 @@ class Timeout(EventBase):
     def cancel(self) -> None:
         """Abandon the timeout before it fires (lazy deletion).
 
-        The queue entry stays in the scheduler but never runs callbacks:
-        the scheduler drops it when it surfaces or sweeps it in bulk
-        during routing/resize passes, so cancelling is O(1) instead of
-        an O(n) heap removal.  The cancellation is *counted eagerly* --
-        ``engine.cancelled_events`` increments here, and the scheduler
-        is told so its live ``len()`` stays exact.  Hot paths that arm a
+        The queue entry stays on the heap but never runs callbacks: the
+        queue drops it when it surfaces or sweeps it in a bulk
+        compaction, so cancelling is O(1) instead of an O(n) heap
+        removal.  The cancellation is *counted eagerly* --
+        ``engine.cancelled_events`` increments here, and the queue is
+        told so its live ``len()`` stays exact.  Hot paths that arm a
         deadline per request (e.g. the decider's bounded wait for a
         grant) use this to stop abandoned deadlines from churning the
         event loop at scale.
@@ -241,7 +241,7 @@ class Callback(EventBase):
         name: Optional[str] = None,
         priority: int = PRIORITY_NORMAL,
     ) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative callback delay: {delay!r}")
         # Inlined EventBase.__init__ + Engine._schedule (hot path, see
         # class docstring).

@@ -21,7 +21,8 @@ from repro.lint.runner import iter_python_files
 FIXTURES = Path(__file__).parent / "fixtures" / "lint"
 REPO_ROOT = Path(__file__).parents[1]
 
-ALL_RULE_IDS = [f"R{n}" for n in range(1, 12)]
+#: Rule IDs are never reused or renumbered, so a retired one leaves a gap.
+ALL_RULE_IDS = [f"R{n}" for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 11)]
 
 
 def findings_for(name: str, rule_ids=None, config=None):
@@ -52,7 +53,7 @@ def located(report, rule_id: str):
 
 
 class TestRegistry:
-    def test_eleven_rules_registered_in_numeric_order(self):
+    def test_rules_registered_in_numeric_order(self):
         # Numeric, not lexicographic: R10 sorts after R9, not after R1.
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == ALL_RULE_IDS
@@ -147,32 +148,6 @@ class TestR6CallbackNames:
 
     def test_good_fixture_silent(self):
         assert findings_for("r6_good.py", ["R6"]) == []
-
-
-class TestR7SchedulerOrder:
-    def test_bad_fixture_exact_lines(self):
-        findings = findings_for("r7_bad.py", ["R7"])
-        assert rule_lines(findings, "R7") == [13, 19, 21, 26, 29, 33, 38]
-
-    def test_good_fixture_silent(self):
-        assert findings_for("r7_good.py", ["R7"]) == []
-
-    def test_message_names_the_container_kind(self):
-        findings = findings_for("r7_bad.py", ["R7"])
-        assert findings[0].message.startswith("dict iteration")
-        assert findings[3].message.startswith("set iteration")
-
-    def test_scheduler_module_in_scope_and_clean(self):
-        # The rule exists to police exactly this module: the calendar
-        # queue's bucket drains must never inherit container order.
-        schedulers = REPO_ROOT / "src" / "repro" / "sim" / "schedulers.py"
-        assert lint_file(schedulers, get_rules(["R7"]), LintConfig()) == []
-
-    def test_rule_scope_excludes_other_modules(self):
-        # R7 is scoped to repro/sim/schedulers; identical code elsewhere
-        # in src/ is R3's business (sets only), not R7's.
-        engine = REPO_ROOT / "src" / "repro" / "sim" / "engine.py"
-        assert lint_file(engine, get_rules(["R7"]), LintConfig()) == []
 
 
 class TestR8Layering:
@@ -311,7 +286,7 @@ class TestProjectSuppressions:
         assert keyed == [
             ("R9", "core/node.py", 14),
             ("R10", "core/node.py", 26),
-            ("R7", "sim/schedulers.py", 7),
+            ("R11", "experiments/harvest.py", 8),
         ]
 
     def test_send_site_suppression_is_per_site(self):
@@ -332,20 +307,20 @@ class TestProjectSuppressions:
         assert located(report, "R10") == [("core/node.py", 26)]
 
     def test_file_rule_scope_still_applies_in_project_mode(self):
-        # Identical dict iteration outside R7's scope prefix is silent,
-        # with or without suppressions.
-        report = project_report("project_suppress", ["R7"])
-        assert located(report, "R7") == [("sim/schedulers.py", 7)]
+        # An identical bare .result() outside R11's scope prefix is
+        # silent, with or without suppressions.
+        report = project_report("project_suppress", ["R11"])
+        assert located(report, "R11") == [("experiments/harvest.py", 8)]
 
     def test_config_allowlist_covers_project_rules(self):
         config = LintConfig(allow={"R9": ("core/node.py",)})
         report = project_report("project_suppress", config=config)
-        assert [f.rule_id for f in report.findings] == ["R10", "R7"]
+        assert [f.rule_id for f in report.findings] == ["R10", "R11"]
 
     def test_disabled_project_rule(self):
         config = LintConfig(disabled=frozenset({"R9", "R10"}))
         report = project_report("project_suppress", config=config)
-        assert [f.rule_id for f in report.findings] == ["R7"]
+        assert [f.rule_id for f in report.findings] == ["R11"]
 
 
 class TestIterPythonFiles:
@@ -427,7 +402,7 @@ class TestSelfScan:
         assert report.files_scanned > 70
         # Without --project the cross-file rules are skipped and honestly
         # left out of rules_run.
-        assert list(report.rules_run) == ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]
+        assert list(report.rules_run) == ["R1", "R2", "R3", "R4", "R5", "R6"]
 
     def test_source_tree_is_clean_in_project_mode(self):
         """Whole-program acceptance criterion: `repro lint --project src`

@@ -264,7 +264,7 @@ def _managed(n=4, sim=None):
     from repro.core.manager import PenelopeManager
     from repro.workloads.generator import assign_pair_to_cluster
 
-    engine = Engine(scheduler=sim)
+    engine = Engine(sim=sim)
     budget = n * 2 * 70.0
     cluster = Cluster(
         engine,

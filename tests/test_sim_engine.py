@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import asdict
+
+from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, run_callable_at
 from repro.sim.events import Event, Timeout
+from repro.sim.schedulers import HeapScheduler
 
 
 class TestClock:
@@ -163,16 +167,13 @@ class TestFactories:
 
 
 class TestRunUntilHorizon:
-    """Micro-regressions for run(until=<number>) boundary behavior.
-
-    Parametrized over every registered scheduler via the `scheduler`
-    fixture: horizon handling is where a bucketed queue's scan cursor
-    can disagree with a heap (events exactly at the horizon, buckets
-    whose head entries are all cancelled).
+    """Micro-regressions for run(until=<number>) boundary behavior:
+    events exactly at the horizon, and heads whose entries are all
+    cancelled.
     """
 
-    def test_event_exactly_at_horizon_is_processed(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_event_exactly_at_horizon_is_processed(self):
+        engine = Engine()
         fired = []
         engine.call_later(5.0, fired.append, "at-horizon")
         engine.call_later(5.000001, fired.append, "past-horizon")
@@ -180,13 +181,13 @@ class TestRunUntilHorizon:
         assert fired == ["at-horizon"]
         assert engine.now == 5.0
 
-    def test_empty_queue_still_advances_clock_to_until(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_empty_queue_still_advances_clock_to_until(self):
+        engine = Engine()
         engine.run(until=42.0)
         assert engine.now == 42.0
 
-    def test_events_past_horizon_stay_queued(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_events_past_horizon_stay_queued(self):
+        engine = Engine()
         fired = []
         engine.call_later(10.0, fired.append, "later")
         engine.run(until=5.0)
@@ -194,8 +195,8 @@ class TestRunUntilHorizon:
         engine.run(until=10.0)
         assert fired == ["later"]
 
-    def test_peek_skips_a_fully_cancelled_bucket_head(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_peek_skips_a_fully_cancelled_bucket_head(self):
+        engine = Engine()
         # Several same-time entries at the queue head, all cancelled:
         # peek() must lazily discard the whole cluster and report the
         # first live entry behind it.
@@ -209,11 +210,65 @@ class TestRunUntilHorizon:
         engine.run()
         assert engine.now == survivor_at
 
-    def test_run_until_horizon_counts_cancelled_entries(self, scheduler):
-        engine = Engine(scheduler=scheduler)
+    def test_run_until_horizon_counts_cancelled_entries(self):
+        engine = Engine()
         cancelled = engine.timeout(3.0)
         engine.call_later(1.0, cancelled.cancel)
         engine.call_later(4.0, lambda: None)
         engine.run(until=6.0)
         assert engine.cancelled_events == 1
         assert engine.now == 6.0
+
+
+class TestNanDelaysRejected:
+    """NaN compares false against everything, so ``delay < 0`` let it
+    through.  A NaN entry breaks the heap's total order: a queued event
+    behind it could silently never fire."""
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            pytest.param(lambda e: e._schedule(Event(e), float("nan")), id="schedule"),
+            pytest.param(lambda e: Event(e).succeed(delay=float("nan")), id="succeed"),
+            pytest.param(
+                lambda e: Event(e).fail(RuntimeError("x"), delay=float("nan")), id="fail"
+            ),
+            pytest.param(lambda e: e.timeout(float("nan")), id="timeout"),
+            pytest.param(lambda e: e.call_later(float("nan"), print), id="callback"),
+        ],
+    )
+    def test_nan_delay_raises(self, engine, schedule):
+        with pytest.raises(ValueError):
+            schedule(engine)
+        assert len(engine.scheduler) == 0
+
+    def test_nan_horizon_raises(self, engine):
+        with pytest.raises(ValueError):
+            engine.run(until=float("nan"))
+
+    def test_infinite_delay_still_allowed(self, engine):
+        engine.timeout(float("inf"))
+        engine.call_later(1.0, lambda: None)
+        engine.run(until=5.0)
+        assert engine.now == 5.0 and engine.peek() == float("inf")
+
+
+class TestSimConfig:
+    def test_heap_is_the_only_scheduler_name(self):
+        for name in (None, "heap"):
+            sim = SimConfig(scheduler=name, batched_ticks=True)
+            assert isinstance(sim.make_scheduler(), HeapScheduler)
+            assert sim.effective_batched_ticks() is True
+        assert asdict(SimConfig(scheduler="heap", batched_ticks=False)) == {
+            "scheduler": "heap", "batched_ticks": False, "tick_slots": 16,
+        }
+
+    @pytest.mark.parametrize("name", ["calendar", "", "Heap"])
+    def test_any_other_name_fails_loudly(self, name):
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            SimConfig(scheduler=name)
+
+    def test_engine_takes_kernel_knobs_from_sim(self):
+        engine = Engine(sim=SimConfig(batched_ticks=True, tick_slots=4))
+        assert engine.batched_ticks is True and engine.tick_slots == 4
+        assert isinstance(engine.scheduler, HeapScheduler)

@@ -1,28 +1,22 @@
 """Cancellation-storm accounting: live size exact, held garbage bounded.
 
-Regression suite for the calendar-queue leak where cancelled entries
-parked in buckets *behind* the scan head (or in the staging heap) were
-never swept: only head-position entries were ever discarded, so
-``len()`` and the engine's pending-event accounting overstated queue
-depth and memory grew without bound in timeout-heavy chaos runs.
+Lazily-deleted entries that sit *behind* the queue head are never
+surfaced, so without compaction ``len()`` and the engine's
+pending-event accounting would overstate queue depth and memory would
+grow without bound in timeout-heavy chaos runs.
 
 Under the eager-accounting contract (``note_cancelled``):
 
-* ``len(scheduler)`` counts live entries only, immediately;
+* ``len(queue)`` counts live entries only, immediately;
 * pops / peeks never surface a cancelled entry;
 * compaction keeps physically-held entries at O(live) no matter where
-  the dead entries sit -- head, deep bucket, overflow, or staging.
+  in the heap the dead entries sit.
 """
 
 from __future__ import annotations
 
 from repro.sim.engine import Engine
-from repro.sim.schedulers import (
-    CalendarQueueScheduler,
-    HeapScheduler,
-    Scheduler,
-    make_scheduler,
-)
+from repro.sim.schedulers import HeapScheduler
 
 
 class _FakeEvent:
@@ -32,24 +26,21 @@ class _FakeEvent:
         self._cancelled = False
 
 
-def _raw_size(scheduler: Scheduler) -> int:
+def _raw_size(queue: HeapScheduler) -> int:
     """Entries physically held, dead ones included."""
-    if isinstance(scheduler, HeapScheduler):
-        return len(scheduler._heap)
-    assert isinstance(scheduler, CalendarQueueScheduler)
-    return scheduler._size + len(scheduler._staging)
+    return len(queue._heap)
 
 
-def _cancel(scheduler: Scheduler, event: _FakeEvent) -> None:
+def _cancel(queue: HeapScheduler, event: _FakeEvent) -> None:
     event._cancelled = True
-    scheduler.note_cancelled()
+    queue.note_cancelled()
 
 
 class TestStormAccounting:
-    def test_storm_behind_the_head_stays_bounded(self, scheduler: str) -> None:
+    def test_storm_behind_the_head_stays_bounded(self) -> None:
         # Entries far behind the queue head -- the leaked population in
         # the original bug -- must still be reclaimed by compaction.
-        queue = make_scheduler(scheduler)
+        queue = HeapScheduler()
         live: list[tuple[float, _FakeEvent]] = []
         doomed: list[_FakeEvent] = []
         sequence = 0
@@ -60,7 +51,7 @@ class TestStormAccounting:
                 queue.push((when, 1, sequence, event))
                 sequence += 1
                 # Keep one entry per wave; doom the rest.  The doomed
-                # ones span every bucket/overflow/staging position.
+                # ones span every heap position.
                 if k == 0:
                     live.append((when, event))
                 else:
@@ -87,8 +78,8 @@ class TestStormAccounting:
         assert popped == live
         assert len(queue) == 0 and _raw_size(queue) == 0
 
-    def test_cancel_everything_empties_the_queue(self, scheduler: str) -> None:
-        queue = make_scheduler(scheduler)
+    def test_cancel_everything_empties_the_queue(self) -> None:
+        queue = HeapScheduler()
         events = [_FakeEvent() for _ in range(500)]
         for sequence, event in enumerate(events):
             queue.push((sequence * 0.5, 1, sequence, event))
@@ -100,8 +91,8 @@ class TestStormAccounting:
         assert queue.pop() is None
         assert queue.pop_due(float("inf")) is None
 
-    def test_pop_due_never_serves_cancelled_mid_storm(self, scheduler: str) -> None:
-        queue = make_scheduler(scheduler)
+    def test_pop_due_never_serves_cancelled_mid_storm(self) -> None:
+        queue = HeapScheduler()
         events = []
         for sequence in range(300):
             event = _FakeEvent()
@@ -126,12 +117,12 @@ class TestStormAccounting:
 
 
 class TestEngineStorm:
-    def test_timeout_heavy_run_keeps_queue_lean(self, scheduler: str) -> None:
+    def test_timeout_heavy_run_keeps_queue_lean(self) -> None:
         # The chaos-run shape from the bug report: a long horizon event
         # plus thousands of timeouts that are cancelled before firing
         # (answered requests cancelling their deadlines).  The queue
         # must not accumulate the corpses.
-        engine = Engine(scheduler=scheduler)
+        engine = Engine()
         engine.call_later(1000.0, lambda: None)
         for wave in range(20):
             timeouts = [engine.timeout(500.0 + wave) for _ in range(200)]
@@ -144,8 +135,8 @@ class TestEngineStorm:
         assert engine.now == 1000.0
         assert engine.processed_events == 1
 
-    def test_cancelled_count_is_eager_and_idempotent(self, scheduler: str) -> None:
-        engine = Engine(scheduler=scheduler)
+    def test_cancelled_count_is_eager_and_idempotent(self) -> None:
+        engine = Engine()
         timeout = engine.timeout(5.0)
         timeout.cancel()
         assert engine.cancelled_events == 1
