@@ -15,6 +15,7 @@ yardstick for everyone else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -171,69 +172,13 @@ def measure_allocation_trace(
 # -- sweep-runner integration ------------------------------------------------
 
 
-def allocation_spec_to_dict(spec: AllocationSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "pair": list(spec.pair),
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "n_clients": spec.n_clients,
-        "seed": spec.seed,
-        "workload_scale": spec.workload_scale,
-        "observe_s": spec.observe_s,
-        "sample_every_s": spec.sample_every_s,
-        "manager_config": (
-            serialize.config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-    }
-
-
-def allocation_spec_from_dict(data: Dict[str, Any]) -> AllocationSpec:
-    return AllocationSpec(
-        manager=data["manager"],
-        pair=tuple(data["pair"]),
-        cap_w_per_socket=data["cap_w_per_socket"],
-        n_clients=data["n_clients"],
-        seed=data["seed"],
-        workload_scale=data["workload_scale"],
-        observe_s=data["observe_s"],
-        sample_every_s=data["sample_every_s"],
-        manager_config=(
-            serialize.config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-    )
-
-
-def allocation_trace_to_dict(trace: AllocationTrace) -> Dict[str, Any]:
-    return {
-        "manager": trace.manager,
-        "times": [float(t) for t in trace.times],
-        "mean_abs_deviation_w": [float(d) for d in trace.mean_abs_deviation_w],
-        "oracle": {str(node): cap for node, cap in sorted(trace.oracle.items())},
-        "even_split_deviation_w": trace.even_split_deviation_w,
-    }
-
-
-def allocation_trace_from_dict(data: Dict[str, Any]) -> AllocationTrace:
-    return AllocationTrace(
-        manager=data["manager"],
-        times=np.array(data["times"]),
-        mean_abs_deviation_w=np.array(data["mean_abs_deviation_w"]),
-        oracle={int(node): cap for node, cap in data["oracle"].items()},
-        even_split_deviation_w=data["even_split_deviation_w"],
-    )
-
-
 #: :func:`run_allocation_point` as a sweep-runner task kind.
 ALLOCATION_RUN = TaskKind(
     name="allocation",
     fn=run_allocation_point,
-    spec_to_dict=allocation_spec_to_dict,
-    result_to_dict=allocation_trace_to_dict,
-    result_from_dict=allocation_trace_from_dict,
+    spec_to_dict=serialize.encode,
+    result_to_dict=serialize.encode,
+    result_from_dict=functools.partial(serialize.decode, AllocationTrace),
 )
 
 

@@ -23,6 +23,7 @@ own streams): same spec, same storm, same trajectory.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import statistics
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -36,8 +37,6 @@ from repro.experiments.invariants import (
     Invariant,
     InvariantMonitor,
     InvariantViolation,
-    violation_from_dict,
-    violation_to_dict,
 )
 from repro.experiments.runner import TaskKind, run_sweep
 from repro.instrumentation import MetricsRecorder
@@ -499,7 +498,7 @@ def run_chaos_single(
     manager.stop()
     return ChaosResult(
         spec=spec,
-        schedule=serialize.fault_plan_to_dict(plan),
+        schedule=serialize.encode(plan),
         n_audits=len(auditor.ledgers),
         max_abs_residual_w=auditor.max_abs_residual_w,
         final=final,
@@ -510,90 +509,12 @@ def run_chaos_single(
     )
 
 
-# -- JSON codecs (cache round-trip) ------------------------------------------
-
-
-#: Spec fields that postdate the pinned chaos fixture and the sweep
-#: cache keys: emitted only when they differ from the default, so specs
-#: not using them keep byte-identical canonical JSON (and sha256 keys).
-_SPEC_LATE_FIELDS = (
-    "duplicate_bursts",
-    "reorder_bursts",
-    "clock_drifts",
-    "slow_nodes",
-    "duplicate_prob",
-    "reorder_window_s",
-    "max_drift_rate",
-    "slow_factor",
-)
-
-_SPEC_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(ChaosSpec)
-}
-
-
-def chaos_spec_to_dict(spec: ChaosSpec) -> Dict[str, Any]:
-    data = dataclasses.asdict(spec)
-    data["pair"] = list(spec.pair)
-    for key in _SPEC_LATE_FIELDS:
-        if data[key] == _SPEC_DEFAULTS[key]:
-            del data[key]
-    return data
-
-
-def chaos_spec_from_dict(data: Dict[str, Any]) -> ChaosSpec:
-    kwargs = dict(data)
-    kwargs["pair"] = tuple(kwargs["pair"])
-    return ChaosSpec(**kwargs)
-
-
-def ledger_to_dict(ledger: ConservationLedger) -> Dict[str, Any]:
-    return dataclasses.asdict(ledger)
-
-
-def ledger_from_dict(data: Dict[str, Any]) -> ConservationLedger:
-    return ConservationLedger(**data)
-
-
-def chaos_result_to_dict(result: ChaosResult) -> Dict[str, Any]:
-    data = {
-        "spec": chaos_spec_to_dict(result.spec),
-        "schedule": result.schedule,
-        "n_audits": result.n_audits,
-        "max_abs_residual_w": result.max_abs_residual_w,
-        "final": ledger_to_dict(result.final),
-        "recorder": serialize.recorder_to_dict(result.recorder),
-        "network": serialize.network_stats_to_dict(result.network),
-        "detector": result.detector,
-    }
-    # Violations postdate the pinned fixture; clean runs stay byte-identical.
-    if result.violations:
-        data["violations"] = [violation_to_dict(v) for v in result.violations]
-    return data
-
-
-def chaos_result_from_dict(data: Dict[str, Any]) -> ChaosResult:
-    return ChaosResult(
-        spec=chaos_spec_from_dict(data["spec"]),
-        schedule=data["schedule"],
-        n_audits=data["n_audits"],
-        max_abs_residual_w=data["max_abs_residual_w"],
-        final=ledger_from_dict(data["final"]),
-        recorder=serialize.recorder_from_dict(data["recorder"]),
-        network=serialize.network_stats_from_dict(data["network"]),
-        detector=data.get("detector"),
-        violations=[
-            violation_from_dict(v) for v in data.get("violations", [])
-        ],
-    )
-
-
 CHAOS_RUN = TaskKind(
     name="chaos",
     fn=run_chaos_single,
-    spec_to_dict=chaos_spec_to_dict,
-    result_to_dict=chaos_result_to_dict,
-    result_from_dict=chaos_result_from_dict,
+    spec_to_dict=serialize.encode,
+    result_to_dict=serialize.encode,
+    result_from_dict=functools.partial(serialize.decode, ChaosResult),
 )
 
 

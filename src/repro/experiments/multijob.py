@@ -17,6 +17,7 @@ single-job Figure 3 runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -168,73 +169,13 @@ def run_multijob(
 # -- sweep-runner integration ------------------------------------------------
 
 
-def multijob_spec_to_dict(spec: MultiJobSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "n_clients": spec.n_clients,
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "seed": spec.seed,
-        "workload_scale": spec.workload_scale,
-        "sequences": [list(sequence) for sequence in spec.sequences],
-        "fault_plan": (
-            serialize.fault_plan_to_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        ),
-        "manager_config": (
-            serialize.config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-    }
-
-
-def multijob_spec_from_dict(data: Dict[str, Any]) -> MultiJobSpec:
-    return MultiJobSpec(
-        manager=data["manager"],
-        n_clients=data["n_clients"],
-        cap_w_per_socket=data["cap_w_per_socket"],
-        seed=data["seed"],
-        workload_scale=data["workload_scale"],
-        sequences=tuple(tuple(sequence) for sequence in data["sequences"]),
-        fault_plan=(
-            serialize.fault_plan_from_dict(data["fault_plan"])
-            if data["fault_plan"] is not None
-            else None
-        ),
-        manager_config=(
-            serialize.config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-    )
-
-
-def multijob_result_to_dict(result: MultiJobResult) -> Dict[str, Any]:
-    return {
-        "manager": result.manager,
-        "runtime_s": result.runtime_s,
-        "faulted": result.faulted,
-        "recorder": serialize.recorder_to_dict(result.recorder),
-    }
-
-
-def multijob_result_from_dict(data: Dict[str, Any]) -> MultiJobResult:
-    return MultiJobResult(
-        manager=data["manager"],
-        runtime_s=data["runtime_s"],
-        faulted=data["faulted"],
-        recorder=serialize.recorder_from_dict(data["recorder"]),
-    )
-
-
 #: :func:`run_multijob_spec` as a sweep-runner task kind.
 MULTIJOB_RUN = TaskKind(
     name="multijob",
     fn=run_multijob_spec,
-    spec_to_dict=multijob_spec_to_dict,
-    result_to_dict=multijob_result_to_dict,
-    result_from_dict=multijob_result_from_dict,
+    spec_to_dict=serialize.encode,
+    result_to_dict=serialize.encode,
+    result_from_dict=functools.partial(serialize.decode, MultiJobResult),
 )
 
 

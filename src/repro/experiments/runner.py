@@ -52,6 +52,7 @@ bundles the run function with its JSON codecs (see
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import os
@@ -65,7 +66,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments import serialize
-from repro.experiments.harness import run_single
+from repro.experiments.harness import RunResult, run_single
 from repro.experiments.journal import (
     CampaignJournal,
     TaskFailure,
@@ -100,7 +101,9 @@ class TaskKind:
 
     ``fn`` must be a module-level callable (picklable by reference) taking
     one spec and returning one result; the codecs make specs hashable for
-    the cache and results round-trippable to JSON.
+    the cache and results round-trippable to JSON.  Every built-in kind
+    uses :func:`~repro.experiments.serialize.encode` for both and
+    ``functools.partial(serialize.decode, ResultType)`` to read back.
     """
 
     name: str
@@ -114,9 +117,9 @@ class TaskKind:
 SINGLE_RUN = TaskKind(
     name="single",
     fn=run_single,
-    spec_to_dict=serialize.spec_to_dict,
-    result_to_dict=serialize.result_to_dict,
-    result_from_dict=serialize.result_from_dict,
+    spec_to_dict=serialize.encode,
+    result_to_dict=serialize.encode,
+    result_from_dict=functools.partial(serialize.decode, RunResult),
 )
 
 

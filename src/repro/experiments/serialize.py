@@ -1,11 +1,28 @@
-"""JSON (de)serialization for run specs and results.
+"""One field-driven JSON codec for everything the sweep harness persists.
 
 The parallel sweep runner (:mod:`repro.experiments.runner`) persists every
 completed run as one JSON file under its cache directory, keyed by a
-stable content hash of the spec.  That requires :class:`RunSpec` and
-:class:`RunResult` -- including the polymorphic manager configs, fault
-plans, the full :class:`MetricsRecorder` event log, :class:`BudgetAudit`
-and :class:`NetworkStats` -- to round-trip losslessly through JSON.
+stable content hash of the spec.  That requires every spec and result
+type -- including the polymorphic manager configs, fault plans, the full
+:class:`MetricsRecorder` event log, audits and network stats -- to
+round-trip losslessly through JSON.
+
+:func:`encode` and :func:`decode` do that for any dataclass, driven by
+``dataclasses.fields()`` and the fields' type hints (resolved once per
+class):
+
+* tuples and lists become lists, ``Dict[int, ...]`` keys become strings,
+  ``None`` passes through, ``np.ndarray`` becomes a list of floats and
+  nested dataclasses recurse;
+* manager configs and wire messages are polymorphic, so they travel in a
+  ``{"type": <class name>, "fields": {...}}`` envelope resolved through
+  :data:`CONFIG_TYPES` / :data:`MESSAGE_TYPES`;
+* a key absent from the input decodes to the field's default.
+
+Every departure from that plain shape -- flat rows, fields added after
+caches were written, legacy keys, ``NaN`` as ``null`` -- is declared in
+the one :data:`COMPAT` table, because each one is pinned by existing
+cache files, fixtures and sha256 cache keys.
 
 Python floats survive a JSON round-trip exactly (``json`` emits the
 shortest repr that parses back to the same float), so a decoded result
@@ -19,12 +36,14 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Any, Dict, Type
+import operator
+import typing
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar, Union
 
-from repro.cluster.faults import FaultPlan
+import numpy as np
+
 from repro.core.config import PenelopeConfig
-from repro.experiments.harness import RunResult, RunSpec
-from repro.experiments.journal import TaskFailure
 from repro.instrumentation import (
     CapSample,
     LedgerSample,
@@ -32,7 +51,7 @@ from repro.instrumentation import (
     TransactionEvent,
     TurnaroundSample,
 )
-from repro.managers.base import BudgetAudit, ManagerConfig
+from repro.managers.base import ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
 from repro.membership.messages import (
@@ -42,16 +61,18 @@ from repro.membership.messages import (
     MembershipPingReq,
 )
 from repro.net.messages import (
-    Addr,
     ExcessReport,
     GrantAck,
-    MembershipUpdate,
     Message,
     PowerGrant,
     PowerRequest,
     ReleaseDirective,
 )
-from repro.net.network import NetworkStats
+
+T = TypeVar("T")
+
+#: Decodes one JSON value into one typed value.
+Decoder = Callable[[Any], Any]
 
 #: Every concrete manager-config class the harness can carry.  Order is
 #: irrelevant; lookups go through the class name stored in the JSON.
@@ -95,401 +116,300 @@ def sha256_of(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-# -- manager configs ---------------------------------------------------------
+# -- the compatibility table -------------------------------------------------
 
 
-def config_to_dict(config: ManagerConfig) -> Dict[str, Any]:
-    name = type(config).__name__
-    if name not in CONFIG_TYPES:
-        raise TypeError(f"unregistered manager config type {name!r}")
-    fields = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        fields[f.name] = value
-    return {"type": name, "fields": fields}
+@dataclass(frozen=True)
+class Compat:
+    """How one class's encoding departs from a plain field-name object."""
+
+    #: Encoded as a flat row of its (scalar) field values, decoded with
+    #: ``cls(*row)``.  A run records tens of thousands of events, and
+    #: field names would dominate the file.
+    row: bool = False
+    #: Fields added after caches and fixtures were pinned: omitted while
+    #: they hold their default, so older canonical JSON is unchanged.
+    late: Tuple[str, ...] = ()
+    #: Float fields whose ``NaN`` is written as ``null`` (strict JSON has
+    #: no ``NaN``).  Other floats keep their historical bytes.
+    nan_as_null: Tuple[str, ...] = ()
+    #: Rewrites a legacy encoding into today's shape before decoding.
+    upgrade: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
 
 
-def config_from_dict(data: Dict[str, Any]) -> ManagerConfig:
-    cls = CONFIG_TYPES[data["type"]]
-    kwargs = {
-        # Tuple-typed config fields (the service-time ranges) come back
-        # from JSON as lists; every other field is a scalar or None.
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in data["fields"].items()
-    }
-    return cls(**kwargs)
+def _split_dropped_dead(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Legacy network stats predate the send-time/arrival-time split of
+    dead-node drops and carry only the merged counter.  The breakdown is
+    unrecoverable, so it is attributed to the send side: the
+    ``dropped`` and ``dropped_dead`` aggregates stay exact either way."""
+    if "dropped_dead" not in data:
+        return data
+    upgraded = dict(data)
+    upgraded["dropped_dead_src"] = upgraded.pop("dropped_dead")
+    return upgraded
 
 
-# -- wire messages -----------------------------------------------------------
+#: Every byte-compatibility rule of the codec, keyed by class name (the
+#: classes live in layers that import this module).  A class inherits
+#: the entry of its nearest listed base.
+COMPAT: Dict[str, Compat] = {
+    "TransactionEvent": Compat(row=True),
+    "TurnaroundSample": Compat(row=True),
+    "CapSample": Compat(row=True),
+    "LedgerSample": Compat(row=True),
+    "Addr": Compat(row=True),
+    "MembershipUpdate": Compat(row=True),
+    # The unstamped-send sentinel.
+    "Message": Compat(nan_as_null=("send_time",)),
+    "FaultPlan": Compat(
+        late=("duplicate_bursts", "reorder_bursts", "clock_drifts", "slow_nodes")
+    ),
+    "NetworkStats": Compat(
+        late=("duplicated", "reordered", "duplicated_by_kind", "reordered_by_kind"),
+        upgrade=_split_dropped_dead,
+    ),
+    "ChaosSpec": Compat(
+        late=(
+            "duplicate_bursts",
+            "reorder_bursts",
+            "clock_drifts",
+            "slow_nodes",
+            "duplicate_prob",
+            "reorder_window_s",
+            "max_drift_rate",
+            "slow_factor",
+        )
+    ),
+    "ChaosResult": Compat(late=("violations",)),
+}
 
 
-def message_to_dict(message: Message) -> Dict[str, Any]:
-    """Encode any registered wire message as a JSON-safe dict.
-
-    ``Addr`` endpoints flatten to ``[node, port]`` pairs and piggybacked
-    gossip to ``[node, status, incarnation]`` rows.  The unstamped
-    ``send_time`` sentinel (``nan``) becomes ``null`` -- ``NaN`` is not
-    valid strict JSON, and :func:`canonical_json` output must parse
-    everywhere.
-    """
-    name = type(message).__name__
-    if name not in MESSAGE_TYPES:
-        raise TypeError(f"unregistered message type {name!r}")
-    payload: Dict[str, Any] = {}
-    for f in dataclasses.fields(message):
-        value: Any = getattr(message, f.name)
-        if f.name in ("src", "dst"):
-            value = [value.node, value.port]
-        elif f.name == "gossip":
-            value = [[u.node, u.status, u.incarnation] for u in value]
-        elif f.name == "send_time" and math.isnan(value):
-            value = None
-        payload[f.name] = value
-    return {"type": name, "fields": payload}
+def _compat(cls: type) -> Compat:
+    for base in cls.__mro__:
+        if base.__name__ in COMPAT:
+            return COMPAT[base.__name__]
+    return Compat()
 
 
-def message_from_dict(data: Dict[str, Any]) -> Message:
-    """Decode :func:`message_to_dict` output back into its message type.
+def _registry(cls: type) -> Optional[Dict[str, Any]]:
+    """The polymorphic registry ``cls`` travels through, if any."""
+    if issubclass(cls, ManagerConfig):
+        return CONFIG_TYPES
+    if issubclass(cls, Message):
+        return MESSAGE_TYPES
+    return None
 
-    The original ``msg_id`` is preserved (request/reply correlation must
-    survive the process boundary), so decoding never draws from the
+
+# -- encoding ----------------------------------------------------------------
+
+
+def encode(obj: Any) -> Any:
+    """The JSON-safe form of ``obj`` (a dataclass, a recorder or a value)."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [encode(item) for item in obj]
+    if isinstance(obj, dict):
+        # JSON objects only take string keys; node ids go back to int on
+        # decode through the field's Dict[int, ...] hint.
+        return {
+            key if isinstance(key, str) else str(key): encode(value)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, np.ndarray):
+        return [float(x) for x in obj]
+    if isinstance(obj, MetricsRecorder):
+        return _encode_recorder(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _encoder(type(obj))(obj)
+    raise TypeError(f"cannot encode {type(obj).__name__!r}")
+
+
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {}
+
+
+def _encoder(cls: Any) -> Callable[[Any], Any]:
+    """Encoder for one dataclass type, built on first use."""
+    encoder = _ENCODERS.get(cls)
+    if encoder is None:
+        encoder = _ENCODERS[cls] = (
+            _row_encoder(cls) if _compat(cls).row else _fields_encoder(cls)
+        )
+    return encoder
+
+
+def _row_getter(cls: Any) -> Callable[[Any], Tuple[Any, ...]]:
+    return operator.attrgetter(*(f.name for f in dataclasses.fields(cls)))
+
+
+def _row_encoder(cls: Any) -> Callable[[Any], Any]:
+    row = _row_getter(cls)
+    return lambda obj: list(row(obj))
+
+
+def _fields_encoder(cls: Any) -> Callable[[Any], Any]:
+    compat = _compat(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    late = {f.name: _default(f) for f in fields if f.name in compat.late}
+    nan_as_null = compat.nan_as_null
+    registry = _registry(cls)
+    if registry is not None and registry.get(cls.__name__) is not cls:
+        raise TypeError(f"unregistered codec type {cls.__name__!r}")
+
+    def encoder(obj: Any) -> Any:
+        data: Dict[str, Any] = {}
+        for name in names:
+            value = getattr(obj, name)
+            if name in late and value == late[name]:
+                continue
+            data[name] = encode(value)
+        for name in nan_as_null:
+            if math.isnan(data[name]):
+                data[name] = None
+        if registry is None:
+            return data
+        return {"type": cls.__name__, "fields": data}
+
+    return encoder
+
+
+def _default(field: dataclasses.Field[Any]) -> Any:
+    if field.default_factory is not dataclasses.MISSING:
+        return field.default_factory()
+    return field.default
+
+
+# -- decoding ----------------------------------------------------------------
+
+
+def decode(cls: Type[T], data: Any) -> T:
+    """Rebuild a ``cls`` from its :func:`encode` output.
+
+    A message keeps its original ``msg_id`` (request/reply correlation
+    must survive the process boundary), so decoding never draws from the
     local message-id counter.
     """
-    cls = MESSAGE_TYPES[data["type"]]
-    kwargs = dict(data["fields"])
-    kwargs["src"] = Addr(int(kwargs["src"][0]), str(kwargs["src"][1]))
-    kwargs["dst"] = Addr(int(kwargs["dst"][0]), str(kwargs["dst"][1]))
-    kwargs["gossip"] = tuple(
-        MembershipUpdate(int(node), str(status), int(incarnation))
-        for node, status, incarnation in kwargs["gossip"]
-    )
-    if kwargs["send_time"] is None:
-        kwargs["send_time"] = float("nan")
-    return cls(**kwargs)
+    return typing.cast(T, _decoder(cls)(data))
 
 
-# -- fault plans -------------------------------------------------------------
+def _same(value: Any) -> Any:
+    return value
 
 
-def fault_plan_to_dict(plan: FaultPlan) -> Dict[str, Any]:
-    return {
-        "node_kills": [[node_id, at] for node_id, at in plan.node_kills],
-        "partitions": [
-            [list(isolated), at, heal] for isolated, at, heal in plan.partitions
-        ],
-        "restarts": [[node_id, at] for node_id, at in plan.restarts],
-        "flaps": [
-            [list(isolated), at, down, up, cycles]
-            for isolated, at, down, up, cycles in plan.flaps
-        ],
-        "loss_bursts": [
-            [probability, at, duration]
-            for probability, at, duration in plan.loss_bursts
-        ],
-        # Adversarial categories postdate the codec: emitted only when
-        # present so older plans' canonical JSON (and the sha256 cache
-        # keys derived from it) is unchanged.
-        **(
-            {
-                "duplicate_bursts": [
-                    [probability, at, duration]
-                    for probability, at, duration in plan.duplicate_bursts
-                ]
-            }
-            if plan.duplicate_bursts
-            else {}
-        ),
-        **(
-            {
-                "reorder_bursts": [
-                    [window, at, duration]
-                    for window, at, duration in plan.reorder_bursts
-                ]
-            }
-            if plan.reorder_bursts
-            else {}
-        ),
-        **(
-            {
-                "clock_drifts": [
-                    [node_id, rate, at] for node_id, rate, at in plan.clock_drifts
-                ]
-            }
-            if plan.clock_drifts
-            else {}
-        ),
-        **(
-            {
-                "slow_nodes": [
-                    [node_id, factor, at, duration]
-                    for node_id, factor, at, duration in plan.slow_nodes
-                ]
-            }
-            if plan.slow_nodes
-            else {}
-        ),
+_DECODERS: Dict[Any, Decoder] = {}
+
+
+def _decoder(hint: Any) -> Decoder:
+    """Decoder for one type hint, compiled on first use."""
+    decoder = _DECODERS.get(hint)
+    if decoder is None:
+        decoder = _DECODERS[hint] = _compile(hint)
+    return decoder
+
+
+def _compile(hint: Any) -> Decoder:
+    if hint is Any or hint in (str, int, float, bool):
+        return _same
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    if origin is Union:
+        inner = [arg for arg in args if arg is not type(None)]
+        if len(inner) != 1:
+            raise TypeError(f"cannot decode union {hint!r}")
+        value = _decoder(inner[0])
+        if value is _same:
+            return _same
+        return lambda data: None if data is None else value(data)
+    if origin is tuple and not (len(args) == 2 and args[1] is Ellipsis):
+        # Fixed-shape tuple: one decoder per position.
+        slots = [_decoder(arg) for arg in args]
+        return lambda data: tuple([slot(value) for slot, value in zip(slots, data)])
+    if origin is tuple:
+        item = _decoder(args[0])
+        return lambda data: tuple([item(value) for value in data])
+    if origin is list:
+        item = _decoder(args[0])
+        return lambda data: [item(value) for value in data]
+    if origin is dict:
+        key: Decoder = int if args[0] is int else _same
+        value = _decoder(args[1])
+        return lambda data: {key(k): value(v) for k, v in data.items()}
+    if hint is np.ndarray:
+        return np.array
+    if hint is MetricsRecorder:
+        return _decode_recorder
+    if isinstance(hint, type):
+        return _class_decoder(hint)
+    raise TypeError(f"cannot decode {hint!r}")
+
+
+def _class_decoder(cls: Any) -> Decoder:
+    if _compat(cls).row:
+        return lambda row: cls(*row)
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"cannot decode {cls.__name__!r}")
+    registry = _registry(cls)
+    if registry is None:
+        return _fields_decoder(cls)
+    # The envelope names the concrete class, which may be a subclass of
+    # the declared type.
+    by_name = {name: _fields_decoder(member) for name, member in registry.items()}
+    return lambda data: by_name[data["type"]](data["fields"])
+
+
+def _fields_decoder(cls: Any) -> Decoder:
+    hints = typing.get_type_hints(cls)
+    compat = _compat(cls)
+    fields = {
+        f.name: _null_to_nan if f.name in compat.nan_as_null else _decoder(hints[f.name])
+        for f in dataclasses.fields(cls)
     }
+    upgrade = compat.upgrade
+
+    def decoder(data: Any) -> Any:
+        if upgrade is not None:
+            data = upgrade(data)
+        # Absent keys fall to the field default; an unknown key reaches
+        # the constructor, which rejects it with a TypeError.
+        return cls(**{key: fields.get(key, _same)(value) for key, value in data.items()})
+
+    return decoder
 
 
-def fault_plan_from_dict(data: Dict[str, Any]) -> FaultPlan:
-    plan = FaultPlan()
-    for node_id, at in data["node_kills"]:
-        plan.kill(int(node_id), at)
-    for isolated, at, heal in data["partitions"]:
-        plan.partition([int(i) for i in isolated], at, heal)
-    # The churn categories postdate the original codec; absent keys mean
-    # an older plan without them.
-    for node_id, at in data.get("restarts", []):
-        plan.restart(int(node_id), at)
-    for isolated, at, down, up, cycles in data.get("flaps", []):
-        plan.flap([int(i) for i in isolated], at, down, up, int(cycles))
-    for probability, at, duration in data.get("loss_bursts", []):
-        plan.loss_burst(probability, at, duration)
-    for probability, at, duration in data.get("duplicate_bursts", []):
-        plan.duplicate_burst(probability, at, duration)
-    for window, at, duration in data.get("reorder_bursts", []):
-        plan.reorder_burst(window, at, duration)
-    for node_id, rate, at in data.get("clock_drifts", []):
-        plan.clock_drift(int(node_id), rate, at)
-    for node_id, factor, at, duration in data.get("slow_nodes", []):
-        plan.slow_node(int(node_id), factor, at, duration)
-    return plan
+def _null_to_nan(value: Optional[float]) -> float:
+    return math.nan if value is None else value
 
 
-# -- run specs ---------------------------------------------------------------
+# -- metrics recorder (the one non-dataclass) --------------------------------
 
-
-def spec_to_dict(spec: RunSpec) -> Dict[str, Any]:
-    return {
-        "manager": spec.manager,
-        "pair": list(spec.pair),
-        "cap_w_per_socket": spec.cap_w_per_socket,
-        "n_clients": spec.n_clients,
-        "seed": spec.seed,
-        "workload_scale": spec.workload_scale,
-        "manager_config": (
-            config_to_dict(spec.manager_config)
-            if spec.manager_config is not None
-            else None
-        ),
-        "fault_plan": (
-            fault_plan_to_dict(spec.fault_plan)
-            if spec.fault_plan is not None
-            else None
-        ),
-        "record_caps": spec.record_caps,
-        "time_limit_s": spec.time_limit_s,
-    }
-
-
-def spec_from_dict(data: Dict[str, Any]) -> RunSpec:
-    return RunSpec(
-        manager=data["manager"],
-        pair=tuple(data["pair"]),
-        cap_w_per_socket=data["cap_w_per_socket"],
-        n_clients=data["n_clients"],
-        seed=data["seed"],
-        workload_scale=data["workload_scale"],
-        manager_config=(
-            config_from_dict(data["manager_config"])
-            if data["manager_config"] is not None
-            else None
-        ),
-        fault_plan=(
-            fault_plan_from_dict(data["fault_plan"])
-            if data["fault_plan"] is not None
-            else None
-        ),
-        record_caps=data["record_caps"],
-        time_limit_s=data["time_limit_s"],
+#: Recorder attribute, event type and row getter: each event list is
+#: stored as a list of flat rows.
+_RECORDER_ROWS: List[Tuple[str, Any, Callable[[Any], Tuple[Any, ...]]]] = [
+    (key, cls, _row_getter(cls))
+    for key, cls in (
+        ("transactions", TransactionEvent),
+        ("turnarounds", TurnaroundSample),
+        ("caps", CapSample),
+        ("samples", LedgerSample),
     )
+]
 
 
-# -- metrics recorder --------------------------------------------------------
-
-# Events are stored as flat rows (lists) rather than objects: a paper-sized
-# run records tens of thousands of them, and the field names would dominate
-# the file size.
-
-
-def recorder_to_dict(recorder: MetricsRecorder) -> Dict[str, Any]:
-    return {
+def _encode_recorder(recorder: MetricsRecorder) -> Dict[str, Any]:
+    data: Dict[str, Any] = {
         "record_caps": recorder._record_caps,
-        "transactions": [
-            [t.time, t.kind, t.src, t.dst, t.watts, t.urgent]
-            for t in recorder.transactions
-        ],
-        "turnarounds": [
-            [s.time, s.node, s.wait_s, s.granted_w, s.timed_out]
-            for s in recorder.turnarounds
-        ],
-        "caps": [[s.time, s.node, s.cap_w] for s in recorder.caps],
-        "samples": [[s.time, s.name, s.value] for s in recorder.samples],
         "counters": dict(recorder.counters),
     }
-
-
-def recorder_from_dict(data: Dict[str, Any]) -> MetricsRecorder:
-    recorder = MetricsRecorder(record_caps=data["record_caps"])
-    recorder.transactions = [
-        TransactionEvent(
-            time=time, kind=kind, src=src, dst=dst, watts=watts, urgent=urgent
-        )
-        for time, kind, src, dst, watts, urgent in data["transactions"]
-    ]
-    recorder.turnarounds = [
-        TurnaroundSample(
-            time=time,
-            node=node,
-            wait_s=wait_s,
-            granted_w=granted_w,
-            timed_out=timed_out,
-        )
-        for time, node, wait_s, granted_w, timed_out in data["turnarounds"]
-    ]
-    recorder.caps = [
-        CapSample(time=time, node=node, cap_w=cap_w)
-        for time, node, cap_w in data["caps"]
-    ]
-    # Ledger samples postdate the original codec; absent key means none.
-    recorder.samples = [
-        LedgerSample(time=time, name=name, value=value)
-        for time, name, value in data.get("samples", [])
-    ]
-    recorder.counters = {str(k): int(v) for k, v in data["counters"].items()}
-    return recorder
-
-
-# -- audits and network stats ------------------------------------------------
-
-
-def audit_to_dict(audit: BudgetAudit) -> Dict[str, Any]:
-    return {
-        "budget_w": audit.budget_w,
-        "caps_w": audit.caps_w,
-        "pooled_w": audit.pooled_w,
-        "in_flight_w": audit.in_flight_w,
-        "lost_w": audit.lost_w,
-        "unsafe_caps": list(audit.unsafe_caps),
-    }
-
-
-def audit_from_dict(data: Dict[str, Any]) -> BudgetAudit:
-    return BudgetAudit(
-        budget_w=data["budget_w"],
-        caps_w=data["caps_w"],
-        pooled_w=data["pooled_w"],
-        in_flight_w=data["in_flight_w"],
-        lost_w=data["lost_w"],
-        unsafe_caps=[int(n) for n in data["unsafe_caps"]],
-    )
-
-
-def network_stats_to_dict(stats: NetworkStats) -> Dict[str, Any]:
-    data = dataclasses.asdict(stats)
-    data["by_kind"] = dict(stats.by_kind)
-    # The adversarial-fault counters postdate the pinned fixtures and the
-    # cache-key hashes; emit them only when the faults actually fired so
-    # default runs keep producing byte-identical JSON.
-    for key in ("duplicated", "reordered", "duplicated_by_kind", "reordered_by_kind"):
-        if not data[key]:
-            del data[key]
+    for key, _, row in _RECORDER_ROWS:
+        data[key] = [list(row(event)) for event in getattr(recorder, key)]
     return data
 
 
-def network_stats_from_dict(data: Dict[str, Any]) -> NetworkStats:
-    if "dropped_dead_src" in data:
-        dead_src = data["dropped_dead_src"]
-        dead_dst = data["dropped_dead_dst"]
-    else:
-        # Legacy cache files predate the send-time/arrival-time split and
-        # carry only the merged counter; the breakdown is unrecoverable, so
-        # attribute it to the send side -- ``dropped`` and ``dropped_dead``
-        # aggregates stay exact either way.
-        dead_src = data["dropped_dead"]
-        dead_dst = 0
-    return NetworkStats(
-        sent=data["sent"],
-        delivered=data["delivered"],
-        dropped_dead_src=dead_src,
-        dropped_dead_dst=dead_dst,
-        dropped_partition=data["dropped_partition"],
-        dropped_overflow=data["dropped_overflow"],
-        dropped_unattached=data["dropped_unattached"],
-        dropped_loss=data["dropped_loss"],
-        duplicated=int(data.get("duplicated", 0)),
-        reordered=int(data.get("reordered", 0)),
-        by_kind={str(k): int(v) for k, v in data["by_kind"].items()},
-        duplicated_by_kind={
-            str(k): int(v) for k, v in data.get("duplicated_by_kind", {}).items()
-        },
-        reordered_by_kind={
-            str(k): int(v) for k, v in data.get("reordered_by_kind", {}).items()
-        },
-    )
-
-
-# -- sweep failure records ---------------------------------------------------
-
-# The record type itself lives in ``repro.experiments.journal`` (kept
-# stdlib-only so journal replay never depends on the simulation stack);
-# this is its strict-checked wire codec, shaped like every other
-# ``*_to_dict``/``*_from_dict`` pair here.
-
-
-def task_failure_to_dict(failure: TaskFailure) -> Dict[str, Any]:
-    """Encode a quarantined-spec record as a JSON-safe dict."""
-    return {
-        "kind": failure.kind,
-        "fingerprint": failure.fingerprint,
-        "index": failure.index,
-        "reason": failure.reason,
-        "error_type": failure.error_type,
-        "message": failure.message,
-        "attempts": failure.attempts,
-    }
-
-
-def task_failure_from_dict(data: Dict[str, Any]) -> TaskFailure:
-    """Decode :func:`task_failure_to_dict` output."""
-    return TaskFailure(
-        kind=str(data["kind"]),
-        fingerprint=str(data["fingerprint"]),
-        index=int(data["index"]),
-        reason=str(data["reason"]),
-        error_type=str(data["error_type"]),
-        message=str(data["message"]),
-        attempts=int(data["attempts"]),
-    )
-
-
-# -- run results -------------------------------------------------------------
-
-
-def result_to_dict(result: RunResult) -> Dict[str, Any]:
-    return {
-        "spec": spec_to_dict(result.spec),
-        "runtime_s": result.runtime_s,
-        "recorder": recorder_to_dict(result.recorder),
-        "audit": audit_to_dict(result.audit),
-        "network": network_stats_to_dict(result.network),
-        # JSON objects only take string keys; node ids go back to int on load.
-        "finish_times": {
-            str(node): at for node, at in sorted(result.finish_times.items())
-        },
-        "unfinished": list(result.unfinished),
-    }
-
-
-def result_from_dict(data: Dict[str, Any]) -> RunResult:
-    return RunResult(
-        spec=spec_from_dict(data["spec"]),
-        runtime_s=data["runtime_s"],
-        recorder=recorder_from_dict(data["recorder"]),
-        audit=audit_from_dict(data["audit"]),
-        network=network_stats_from_dict(data["network"]),
-        finish_times={int(node): at for node, at in data["finish_times"].items()},
-        unfinished=tuple(int(n) for n in data["unfinished"]),
-    )
+def _decode_recorder(data: Dict[str, Any]) -> MetricsRecorder:
+    recorder = MetricsRecorder(record_caps=data["record_caps"])
+    for key, cls, _ in _RECORDER_ROWS:
+        # Ledger samples postdate the original codec; absent means none.
+        setattr(recorder, key, [cls(*row) for row in data.get(key, ())])
+    recorder.counters = dict(data["counters"])
+    return recorder

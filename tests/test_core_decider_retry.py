@@ -7,12 +7,10 @@ response timeout to leave room for in-period retries.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import PenelopeConfig
 from repro.core.decider import LocalDecider
 from repro.core.pool import PowerPool
-from repro.net.messages import PORT_POOL, Addr, GrantAck, PowerGrant
+from repro.net.messages import PORT_POOL, Addr, PowerGrant
 from repro.net.network import Network
 from repro.net.topology import LatencyModel, Topology
 from repro.power.domain import SKYLAKE_6126_NODE

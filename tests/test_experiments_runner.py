@@ -37,7 +37,7 @@ SPECS = [
 
 def _canonical(results):
     return serialize.canonical_json(
-        [serialize.result_to_dict(result) for result in results]
+        [serialize.encode(result) for result in results]
     )
 
 

@@ -4,6 +4,7 @@ over field perturbations."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.experiments import serialize
-from repro.experiments.harness import RunSpec, expected_config_type, run_single
+from repro.experiments.harness import RunResult, RunSpec, expected_config_type, run_single
 from repro.experiments.runner import spec_fingerprint
-from repro.managers.base import ManagerConfig
+from repro.instrumentation import MetricsRecorder
+from repro.managers.base import BudgetAudit, ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
 from repro.membership.messages import (
@@ -59,9 +61,7 @@ class TestConfigCodec:
         ],
     )
     def test_round_trip(self, config):
-        decoded = serialize.config_from_dict(
-            json_round_trip(serialize.config_to_dict(config))
-        )
+        decoded = serialize.decode(ManagerConfig, json_round_trip(serialize.encode(config)))
         assert type(decoded) is type(config)
         assert decoded == config
 
@@ -70,7 +70,7 @@ class TestConfigCodec:
             pass
 
         with pytest.raises(TypeError):
-            serialize.config_to_dict(Rogue())
+            serialize.encode(Rogue())
 
 
 class TestMessageCodec:
@@ -110,9 +110,7 @@ class TestMessageCodec:
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: m.kind)
     def test_round_trip_stamped(self, message):
         stamped = message.stamped(12.5)
-        decoded = serialize.message_from_dict(
-            json_round_trip(serialize.message_to_dict(stamped))
-        )
+        decoded = serialize.decode(Message, json_round_trip(serialize.encode(stamped)))
         assert type(decoded) is type(stamped)
         assert decoded == stamped
 
@@ -120,22 +118,20 @@ class TestMessageCodec:
         # Request/reply correlation must work across processes, so the
         # decoder never draws a fresh id.
         message = self.MESSAGES[0]
-        decoded = serialize.message_from_dict(serialize.message_to_dict(message))
+        decoded = serialize.decode(Message, serialize.encode(message))
         assert decoded.msg_id == message.msg_id
 
     def test_unstamped_nan_becomes_null_and_back(self):
         # NaN is not strict JSON; the unstamped sentinel maps to null and
         # decodes back to nan (field-wise check: nan != nan).
         message = PowerRequest(src=Addr(1, "decider"), dst=Addr(2, "pool"))
-        data = serialize.message_to_dict(message)
+        data = serialize.encode(message)
         assert data["fields"]["send_time"] is None
-        decoded = serialize.message_from_dict(json_round_trip(data))
+        decoded = serialize.decode(Message, json_round_trip(data))
         assert math.isnan(decoded.send_time)
 
     def test_addr_and_gossip_decode_to_native_types(self):
-        decoded = serialize.message_from_dict(
-            json_round_trip(serialize.message_to_dict(self.MESSAGES[-1]))
-        )
+        decoded = serialize.decode(Message, json_round_trip(serialize.encode(self.MESSAGES[-1])))
         assert isinstance(decoded.src, Addr)
         assert isinstance(decoded.gossip[0], MembershipUpdate)
 
@@ -145,7 +141,7 @@ class TestMessageCodec:
 
         rogue = RogueMessage(src=Addr(1, "x"), dst=Addr(2, "y"))
         with pytest.raises(TypeError):
-            serialize.message_to_dict(rogue)
+            serialize.encode(rogue)
 
     def test_codec_covers_every_declared_message_type(self):
         # The runtime twin of lint rule R9's codec check.
@@ -171,15 +167,11 @@ class TestFaultPlanCodec:
             .kill(0, 1.0)
             .partition([1, 2], at_time_s=5.0, heal_after_s=9.0)
         )
-        decoded = serialize.fault_plan_from_dict(
-            json_round_trip(serialize.fault_plan_to_dict(plan))
-        )
+        decoded = serialize.decode(FaultPlan, json_round_trip(serialize.encode(plan)))
         assert decoded == plan
 
     def test_empty_plan(self):
-        decoded = serialize.fault_plan_from_dict(
-            json_round_trip(serialize.fault_plan_to_dict(FaultPlan()))
-        )
+        decoded = serialize.decode(FaultPlan, json_round_trip(serialize.encode(FaultPlan())))
         assert decoded.node_kills == []
         assert decoded.partitions == []
 
@@ -191,9 +183,7 @@ class TestFaultPlanCodec:
             .flap([1, 3], at_time_s=6.0, down_s=0.5, up_s=1.5, cycles=3)
             .loss_burst(0.25, at_time_s=10.0, duration_s=2.0)
         )
-        decoded = serialize.fault_plan_from_dict(
-            json_round_trip(serialize.fault_plan_to_dict(plan))
-        )
+        decoded = serialize.decode(FaultPlan, json_round_trip(serialize.encode(plan)))
         assert decoded == plan
         assert decoded.restarts == [(2, 9.0)]
         assert decoded.flaps == [((1, 3), 6.0, 0.5, 1.5, 3)]
@@ -206,7 +196,7 @@ class TestFaultPlanCodec:
             "node_kills": [[1, 5.0]],
             "partitions": [[[0, 2], 3.0, 4.0]],
         }
-        decoded = serialize.fault_plan_from_dict(legacy)
+        decoded = serialize.decode(FaultPlan, legacy)
         assert decoded.node_kills == [(1, 5.0)]
         assert decoded.partitions == [((0, 2), 3.0, 4.0)]
         assert decoded.restarts == []
@@ -249,20 +239,18 @@ class TestResultCodec:
         return request.getfixturevalue(request.param)
 
     def test_reserializes_byte_identically(self, result):
-        data = json_round_trip(serialize.result_to_dict(result))
-        decoded = serialize.result_from_dict(data)
+        data = json_round_trip(serialize.encode(result))
+        decoded = serialize.decode(RunResult, data)
         assert serialize.canonical_json(
-            serialize.result_to_dict(decoded)
-        ) == serialize.canonical_json(serialize.result_to_dict(result))
+            serialize.encode(decoded)
+        ) == serialize.canonical_json(serialize.encode(result))
 
     def test_scalar_fields(self, result):
-        decoded = serialize.result_from_dict(
-            json_round_trip(serialize.result_to_dict(result))
-        )
+        decoded = serialize.decode(RunResult, json_round_trip(serialize.encode(result)))
         assert decoded.spec == result.spec or (
             # fault plans compare by identity on RunSpec; compare content
-            serialize.spec_to_dict(decoded.spec)
-            == serialize.spec_to_dict(result.spec)
+            serialize.encode(decoded.spec)
+            == serialize.encode(result.spec)
         )
         assert decoded.runtime_s == result.runtime_s
         assert decoded.finish_times == result.finish_times
@@ -271,9 +259,7 @@ class TestResultCodec:
         assert isinstance(decoded.unfinished, tuple)
 
     def test_recorder_events(self, result):
-        decoded = serialize.result_from_dict(
-            json_round_trip(serialize.result_to_dict(result))
-        )
+        decoded = serialize.decode(RunResult, json_round_trip(serialize.encode(result)))
         assert decoded.recorder.transactions == result.recorder.transactions
         assert decoded.recorder.turnarounds == result.recorder.turnarounds
         assert decoded.recorder.caps == result.recorder.caps
@@ -284,41 +270,34 @@ class TestResultCodec:
         recorder = result.recorder
         from repro.instrumentation import LedgerSample
 
-        with_samples = serialize.recorder_from_dict(
-            json_round_trip(serialize.recorder_to_dict(recorder))
+        with_samples = serialize.decode(
+            MetricsRecorder,
+            json_round_trip(serialize.encode(recorder))
         )
         assert with_samples.samples == recorder.samples
         # And a recorder that actually holds samples (the auditor's view).
-        recorder2 = serialize.recorder_from_dict(
-            json_round_trip(serialize.recorder_to_dict(recorder))
-        )
+        recorder2 = serialize.decode(MetricsRecorder, json_round_trip(serialize.encode(recorder)))
         recorder2.sample(1.0, "ledger.residual_w", 0.0)
         recorder2.sample(2.0, "ledger.escrow_w", 12.5)
-        decoded = serialize.recorder_from_dict(
-            json_round_trip(serialize.recorder_to_dict(recorder2))
-        )
+        decoded = serialize.decode(MetricsRecorder, json_round_trip(serialize.encode(recorder2)))
         assert decoded.samples == [
             LedgerSample(time=1.0, name="ledger.residual_w", value=0.0),
             LedgerSample(time=2.0, name="ledger.escrow_w", value=12.5),
         ]
 
     def test_legacy_recorder_dict_without_samples_decodes(self, result):
-        data = json_round_trip(serialize.recorder_to_dict(result.recorder))
+        data = json_round_trip(serialize.encode(result.recorder))
         del data["samples"]  # pre-auditor cache entries lack the key
-        decoded = serialize.recorder_from_dict(data)
+        decoded = serialize.decode(MetricsRecorder, data)
         assert decoded.samples == []
         assert decoded.counters == result.recorder.counters
 
     def test_budget_audit(self, result):
-        decoded = serialize.audit_from_dict(
-            json_round_trip(serialize.audit_to_dict(result.audit))
-        )
+        decoded = serialize.decode(BudgetAudit, json_round_trip(serialize.encode(result.audit)))
         assert decoded == result.audit
 
     def test_network_stats(self, result):
-        decoded = serialize.network_stats_from_dict(
-            json_round_trip(serialize.network_stats_to_dict(result.network))
-        )
+        decoded = serialize.decode(NetworkStats, json_round_trip(serialize.encode(result.network)))
         assert decoded == result.network
         assert decoded.by_kind == result.network.by_kind
 
@@ -369,7 +348,7 @@ class TestSpecProperties:
     @given(spec=spec_strategy)
     def test_spec_round_trips_through_json(self, spec):
         assert (
-            serialize.spec_from_dict(json_round_trip(serialize.spec_to_dict(spec)))
+            serialize.decode(RunSpec, json_round_trip(serialize.encode(spec)))
             == spec
         )
 
@@ -381,26 +360,24 @@ class TestSpecProperties:
     def test_fingerprint_injective_over_field_perturbations(self, spec, choice):
         field, perturb = FIELD_PERTURBATIONS[choice]
         mutated = replace(spec, **{field: perturb(spec)})
-        assume(serialize.spec_to_dict(mutated) != serialize.spec_to_dict(spec))
+        assume(serialize.encode(mutated) != serialize.encode(spec))
         assert spec_fingerprint(mutated) != spec_fingerprint(spec)
 
     @settings(max_examples=50, deadline=None)
     @given(spec=spec_strategy)
     def test_fingerprint_is_stable(self, spec):
-        decoded = serialize.spec_from_dict(
-            json_round_trip(serialize.spec_to_dict(spec))
-        )
+        decoded = serialize.decode(RunSpec, json_round_trip(serialize.encode(spec)))
         assert spec_fingerprint(decoded) == spec_fingerprint(spec)
 
 
 class TestNetworkStatsBackCompat:
     def test_legacy_merged_dead_counter_decodes(self):
         stats = NetworkStats(sent=9, delivered=5, dropped_dead_src=2)
-        legacy = serialize.network_stats_to_dict(stats)
+        legacy = serialize.encode(stats)
         del legacy["dropped_dead_src"]
         del legacy["dropped_dead_dst"]
         legacy["dropped_dead"] = 2
-        decoded = serialize.network_stats_from_dict(legacy)
+        decoded = serialize.decode(NetworkStats, legacy)
         assert decoded.dropped_dead_src == 2
         assert decoded.dropped_dead_dst == 0
         assert decoded.dropped_dead == 2
@@ -410,8 +387,72 @@ class TestNetworkStatsBackCompat:
         stats = NetworkStats(
             sent=10, delivered=5, dropped_dead_src=2, dropped_dead_dst=3
         )
-        decoded = serialize.network_stats_from_dict(
-            json_round_trip(serialize.network_stats_to_dict(stats))
-        )
+        decoded = serialize.decode(NetworkStats, json_round_trip(serialize.encode(stats)))
         assert decoded == stats
         assert decoded.dropped_dead == 5
+
+
+class TestCompatTable:
+    """The one table of byte-compatibility rules stays in sync with the
+    classes it names (it is keyed by class name, so a rename or a dropped
+    field would otherwise fail silently)."""
+
+    @staticmethod
+    def _classes():
+        from repro.experiments.chaos import ChaosResult, ChaosSpec
+        from repro.instrumentation import (
+            CapSample,
+            LedgerSample,
+            TransactionEvent,
+            TurnaroundSample,
+        )
+
+        return {
+            cls.__name__: cls
+            for cls in (
+                TransactionEvent,
+                TurnaroundSample,
+                CapSample,
+                LedgerSample,
+                Addr,
+                MembershipUpdate,
+                Message,
+                FaultPlan,
+                NetworkStats,
+                ChaosSpec,
+                ChaosResult,
+            )
+        }
+
+    def test_every_entry_names_a_codec_class(self):
+        assert set(serialize.COMPAT) == set(self._classes())
+
+    def test_named_fields_exist_and_late_ones_have_defaults(self):
+        for name, compat in serialize.COMPAT.items():
+            cls = self._classes()[name]
+            if compat.row:
+                continue
+            fields = {f.name: f for f in dataclasses.fields(cls)}
+            for field_name in compat.late:
+                field = fields[field_name]
+                assert (
+                    field.default is not dataclasses.MISSING
+                    or field.default_factory is not dataclasses.MISSING
+                ), (name, field_name)
+            for field_name in compat.nan_as_null:
+                assert field_name in fields
+
+    def test_absent_keys_decode_to_field_defaults(self):
+        from repro.experiments.chaos import ChaosSpec
+
+        assert serialize.decode(ChaosSpec, {}) == ChaosSpec()
+        assert serialize.decode(NetworkStats, {}) == NetworkStats()
+        assert serialize.decode(FaultPlan, {}) == FaultPlan()
+
+    def test_unknown_keys_are_rejected(self):
+        # Repro files are hand-editable: a misspelt key must not be
+        # silently dropped.
+        from repro.experiments.chaos import ChaosSpec
+
+        with pytest.raises(TypeError):
+            serialize.decode(ChaosSpec, {"n_client": 4})

@@ -7,7 +7,7 @@ import pytest
 
 from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.trace_source import TracePowerSource
-from repro.workloads.traces import PowerTrace, constant_trace, step_release_trace
+from repro.workloads.traces import constant_trace, step_release_trace
 
 
 @pytest.fixture

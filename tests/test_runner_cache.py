@@ -210,5 +210,5 @@ class TestSingleRunCache:
         cached = run_sweep([spec], cache_dir=tmp_path, progress=events.append)[0]
         assert [e.cached for e in events] == [True]
         assert serialize.canonical_json(
-            serialize.result_to_dict(cached)
-        ) == serialize.canonical_json(serialize.result_to_dict(fresh))
+            serialize.encode(cached)
+        ) == serialize.canonical_json(serialize.encode(fresh))

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf
 from repro.sim.resources import Gate, Store
 

@@ -8,7 +8,7 @@ from dataclasses import asdict
 
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, run_callable_at
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event
 from repro.sim.schedulers import HeapScheduler
 
 
