@@ -18,7 +18,7 @@ plans from before the families existed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.sim.engine import run_callable_at
@@ -272,6 +272,20 @@ def slow_node_at(
     return engine.process(_slow(), name=f"fault.slow-node[{node_id}]")
 
 
+#: Each :class:`FaultPlan` list, in arming order, and its builder method.
+_BUILDERS: Dict[str, str] = {
+    "node_kills": "kill",
+    "partitions": "partition",
+    "restarts": "restart",
+    "flaps": "flap",
+    "loss_bursts": "loss_burst",
+    "duplicate_bursts": "duplicate_burst",
+    "reorder_bursts": "reorder_burst",
+    "clock_drifts": "clock_drift",
+    "slow_nodes": "slow_node",
+}
+
+
 @dataclass
 class FaultPlan:
     """A declarative set of faults applied to a cluster.
@@ -327,6 +341,16 @@ class FaultPlan:
     slow_nodes: List[Tuple[int, float, float, Optional[float]]] = field(
         default_factory=list
     )
+
+    def __post_init__(self) -> None:
+        # A plan built field by field (the codec decoding a hand-written
+        # fuzz repro) skipped the builders' range checks: replay every
+        # entry through its builder so an invalid plan fails here.
+        given = {category: getattr(self, category) for category in _BUILDERS}
+        for category, builder in _BUILDERS.items():
+            setattr(self, category, [])
+            for entry in given[category]:
+                getattr(self, builder)(*entry)
 
     def kill(self, node_id: int, at_time_s: float) -> "FaultPlan":
         if at_time_s < 0:

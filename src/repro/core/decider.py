@@ -99,7 +99,8 @@ class LocalDecider:
     pool:
         The co-located :class:`~repro.core.pool.PowerPool`.
     peers:
-        Node ids of all *other* Penelope nodes (random discovery targets).
+        Node ids of all *other* Penelope nodes (random discovery
+        targets): a shared ``Roster.others`` view, not a per-node copy.
     initial_cap_w:
         The node's initial assignment -- the urgency threshold.
     rng:
@@ -128,7 +129,7 @@ class LocalDecider:
         self.node_id = node_id
         self.rapl = rapl
         self.pool = pool
-        self.peers: List[int] = [p for p in peers if p != node_id]
+        self.peers = peers
         self.initial_cap_w = initial_cap_w
         self.config = config
         self.recorder = recorder or MetricsRecorder()

@@ -13,6 +13,7 @@ from repro.instrumentation import MetricsRecorder
 from repro.managers.base import PowerManager
 from repro.membership.detector import FailureDetector
 from repro.membership.view import MembershipTransition
+from repro.net.roster import Roster
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,11 @@ class PenelopeManager(PowerManager):
         #: Batched tick driver (``Engine.batched_ticks``); ``None`` means
         #: every decider runs its own per-node loop.
         self._batcher: Optional[TickBatcher] = None
+        #: The client ids, shared by every agent through ``others``
+        #: views: in ``client_ids`` order for the deciders, ascending for
+        #: the detectors (the same roster when already sorted).
+        self._roster = Roster(())
+        self._sorted_roster = self._roster
         #: Per-node clock scale (1 + drift rate) for nodes with drifting
         #: clocks; survives crash-restarts (a revived node's replacement
         #: agents inherit the drift -- the fault is in the hardware, not
@@ -121,6 +127,8 @@ class PenelopeManager(PowerManager):
 
     def _install_agents(self) -> None:
         assert self.cluster is not None
+        self._roster = Roster(self.client_ids)
+        self._sorted_roster = self._roster.sorted()
         for node_id in self.client_ids:
             self._build_agents(node_id, generation=0)
 
@@ -145,7 +153,7 @@ class PenelopeManager(PowerManager):
                 cluster.engine,
                 cluster.network,
                 node_id,
-                self.client_ids,
+                self._sorted_roster.others(node_id),
                 self.config,
                 cluster.rngs.stream(f"penelope.membership.{node_id}{suffix}"),
                 recorder=self.recorder,
@@ -167,7 +175,7 @@ class PenelopeManager(PowerManager):
             node_id,
             node.rapl,
             pool,
-            peers=self.client_ids,
+            peers=self._roster.others(node_id),
             initial_cap_w=self.initial_caps[node_id],
             config=self.config,
             rng=cluster.rngs.stream(f"penelope.decider.{node_id}{suffix}"),

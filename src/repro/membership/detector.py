@@ -90,7 +90,8 @@ class FailureDetector:
         The owning node; the detector listens on
         ``Addr(node_id, PORT_MEMBERSHIP)``.
     peers:
-        Ids of all member nodes (``node_id`` itself is filtered out).
+        All *other* member ids, ascending: a shared ``Roster.others``
+        view (the view's member list too), not a per-node copy.
     config:
         The ``membership_*`` knobs of :class:`PenelopeConfig`.
     rng:
@@ -118,7 +119,7 @@ class FailureDetector:
         self.config = config
         self.recorder = recorder or MetricsRecorder()
         self._rng = rng
-        self.peers: List[int] = sorted(p for p in peers if p != node_id)
+        self.peers = peers
         self.addr = Addr(node_id, PORT_MEMBERSHIP)
         self.view = MemberView(
             node_id,
@@ -130,7 +131,7 @@ class FailureDetector:
         #: Completed probe rounds (a logical control-loop event, counted
         #: by the kernel benchmark alongside decider iterations).
         self.probe_rounds = 0
-        #: Shuffled probe rotation (refilled from a fresh permutation).
+        #: Shuffled probe rotation of peer indices (a fresh permutation).
         self._rotation: List[int] = []
         #: Current probe round: target and whether any ack arrived.
         self._probe_target: Optional[int] = None
@@ -278,9 +279,8 @@ class FailureDetector:
         if not self.peers:
             return None
         if not self._rotation:
-            order = self._rng.permutation(len(self.peers))
-            self._rotation = [self.peers[int(i)] for i in order]
-        return self._rotation.pop()
+            self._rotation = self._rng.permutation(len(self.peers)).tolist()
+        return self.peers[self._rotation.pop()]
 
     def _pick_relays(self, target: int) -> List[int]:
         candidates = [p for p in self.view.alive_peers() if p != target]

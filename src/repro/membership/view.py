@@ -23,6 +23,8 @@ without minting gossip -- the observer cannot bump someone else's
 incarnation, so global repair is left to the subject's own refutation
 (see the accusation echo in :mod:`repro.membership.detector`).
 
+The view is sparse: only peers whose state left the optimistic-join
+default (``alive``, incarnation 0) get a record.
 The view is deliberately engine-free (callers pass ``now``): all timer
 management lives in the detector, keeping this module a pure, easily
 testable state machine.
@@ -52,11 +54,10 @@ __all__ = [
 
 @dataclass
 class MemberState:
-    """Mutable per-peer record inside a view."""
+    """Mutable record of a peer whose state left the optimistic default."""
 
     status: str
     incarnation: int
-    changed_at: float
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class MemberView:
     node_id:
         The owning node (the ``observer`` of every transition).
     peers:
-        All *other* member ids; the initial view marks them alive at
-        incarnation 0 (optimistic join).
+        All *other* member ids, ascending: a shared ``Roster.others``
+        view, not a per-node copy.  All start alive at incarnation 0.
     initial_incarnation:
         This node's own starting incarnation.  Crash-restarts pass the
         previous generation's value plus one, and any positive value is
@@ -104,7 +105,7 @@ class MemberView:
     def __init__(
         self,
         node_id: int,
-        peers: List[int],
+        peers: Sequence[int],
         initial_incarnation: int = 0,
         gossip_budget: int = 4,
     ) -> None:
@@ -113,14 +114,13 @@ class MemberView:
         self.node_id = node_id
         self.incarnation = initial_incarnation
         self._gossip_budget = gossip_budget
-        self._members: Dict[int, MemberState] = {
-            peer: MemberState(ALIVE, 0, 0.0)
-            for peer in sorted(p for p in peers if p != node_id)
-        }
+        self._peers = peers
+        #: Records of the peers that left the optimistic default only.
+        self._members: Dict[int, MemberState] = {}
         self._pending: Dict[int, _PendingUpdate] = {}
-        #: Cached alive-peer tuple; invalidated on any status change so
+        #: Cached alive peers; invalidated on any status change so
         #: the per-tick discovery query is O(1) instead of O(members).
-        self._alive_cache: Optional[Tuple[int, ...]] = None
+        self._alive_cache: Optional[Sequence[int]] = None
         #: Every accepted state change, in order (chaos metrics input).
         self.transitions: List[MembershipTransition] = []
         #: Called with each transition as it happens (detector timers,
@@ -144,23 +144,20 @@ class MemberView:
     def alive_peers(self) -> Sequence[int]:
         """Peers currently believed alive, in ascending id order.
 
-        Returns a cached immutable tuple (rebuilt only after a status
-        change) -- this sits on the decider's per-request hot path.
+        Returns the shared peer view while every peer is alive, else a
+        cached immutable tuple (rebuilt only after a status change) --
+        this sits on the decider's per-request hot path.
         """
         if self._alive_cache is None:
-            self._alive_cache = tuple(
-                peer
-                for peer, state in self._members.items()
-                if state.status == ALIVE
-            )
+            self._alive_cache = self._peers
+            if any(state.status != ALIVE for state in self._members.values()):
+                self._alive_cache = tuple(
+                    peer for peer in self._peers if self.status_of(peer) == ALIVE
+                )
         return self._alive_cache
 
     def non_dead_peers(self) -> List[int]:
-        return [
-            peer
-            for peer, state in self._members.items()
-            if state.status != DEAD
-        ]
+        return [peer for peer in self._peers if self.status_of(peer) != DEAD]
 
     @property
     def has_pending_updates(self) -> bool:
@@ -193,11 +190,15 @@ class MemberView:
         if update.node == self.node_id:
             raise ValueError("self-updates are handled by the detector")
         state = self._members.get(update.node)
-        if state is None or not self._accepts(state, update.status, update.incarnation):
+        if state is None:
+            if update.node not in self._peers:
+                return None
+            state = MemberState(ALIVE, 0)  # the optimistic default
+        if not self._accepts(state, update.status, update.incarnation):
             return None
         state.status = update.status
         state.incarnation = update.incarnation
-        state.changed_at = now
+        self._members[update.node] = state
         self._alive_cache = None
         self.enqueue(update.node, update.status, update.incarnation)
         return self._record(update.node, update.status, update.incarnation, now)
@@ -217,7 +218,6 @@ class MemberView:
             return None
         accusation = (state.status, state.incarnation)
         state.status = ALIVE
-        state.changed_at = now
         self._alive_cache = None
         self._record(peer, ALIVE, state.incarnation, now)
         return accusation

@@ -28,6 +28,7 @@ from repro.net.messages import (
     next_message_id,
 )
 from repro.net.network import Network, NetworkStats
+from repro.net.roster import PeerView, Roster
 from repro.net.server import RequestServer
 from repro.net.topology import LatencyModel, Topology
 
@@ -41,10 +42,12 @@ __all__ = [
     "PORT_DECIDER",
     "PORT_POOL",
     "PORT_SERVER",
+    "PeerView",
     "PowerGrant",
     "PowerRequest",
     "ReleaseDirective",
     "RequestServer",
+    "Roster",
     "Topology",
     "next_message_id",
 ]

@@ -59,6 +59,44 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan().partition([0], -1.0)
 
+    def test_decoded_plan_round_trips(self):
+        from repro.experiments import serialize
+
+        plan = (
+            FaultPlan()
+            .kill(1, 2.0)
+            .partition([0, 2], 1.0, heal_after_s=3.0)
+            .flap([3], 1.0, 0.5, 0.5, 2)
+            .loss_burst(0.2, 1.0, 2.0)
+            .clock_drift(2, 0.1, 4.0)
+            .slow_node(1, 3.0, 2.0)
+        )
+        assert serialize.decode(FaultPlan, serialize.encode(plan)) == plan
+
+    @pytest.mark.parametrize(
+        "category, entry, match",
+        [
+            ("node_kills", [1, -1.0], "fault time"),
+            ("partitions", [[0], -2.0, None], "fault time"),
+            ("restarts", [1, -0.5], "fault time"),
+            ("flaps", [[0], 1.0, 0.5, 0.5, 0], "flap cycle"),
+            ("flaps", [[0], 1.0, 0.0, 0.5, 1], "flap durations"),
+            ("loss_bursts", [1.0, 1.0, 2.0], "loss probability"),
+            ("duplicate_bursts", [0.5, 1.0, 0.0], "burst duration"),
+            ("reorder_bursts", [0.0, 1.0, 2.0], "reorder window"),
+            ("clock_drifts", [1, -1.0, 1.0], "drift rate"),
+            ("slow_nodes", [1, 0.0, 1.0, None], "slowdown factor"),
+            ("slow_nodes", [1, 2.0, 1.0, -1.0], "slowdown duration"),
+        ],
+    )
+    def test_invalid_decoded_plan_fails_at_load(self, category, entry, match):
+        # A hand-written fuzz repro never passes through the builders;
+        # decoding it must apply their range checks all the same.
+        from repro.experiments import serialize
+
+        with pytest.raises(ValueError, match=match):
+            serialize.decode(FaultPlan, {category: [entry]})
+
     def test_install_arms_all_faults(self, cluster):
         plan = FaultPlan().kill(1, 2.0).partition([3], 4.0)
         processes = plan.install(cluster)

@@ -8,6 +8,7 @@ from repro.core.config import PenelopeConfig
 from repro.core.decider import LocalDecider
 from repro.core.pool import PowerPool
 from repro.net.network import Network
+from repro.net.roster import Roster
 from repro.net.topology import LatencyModel, Topology
 from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
@@ -28,18 +29,20 @@ def make_decider(discovery: str, peers=(1, 2, 3), membership=False):
         engine, SKYLAKE_6126_NODE, rngs.stream("rapl"), initial_cap_w=160.0,
         enforcement_delay_s=(0.0, 0.0), reading_noise=0.0,
     )
+    # Like the manager: one roster of every node, this node's view skips it.
+    others = Roster(sorted({0, *peers})).others(0)
     detector = None
     if membership:
         from repro.membership import FailureDetector
 
         detector = FailureDetector(
-            engine, network, 0, [0, *peers], config, rngs.stream("membership.0")
+            engine, network, 0, others, config, rngs.stream("membership.0")
         )
     pool = PowerPool(
         engine, network, 0, config, rngs.stream("pool"), membership=detector
     )
     decider = LocalDecider(
-        engine, network, 0, rapl, pool, peers=list(peers),
+        engine, network, 0, rapl, pool, peers=others,
         initial_cap_w=160.0, config=config, rng=rngs.stream("decider"),
         membership=detector,
     )

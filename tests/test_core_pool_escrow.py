@@ -21,6 +21,7 @@ from repro.net.messages import (
     PowerRequest,
 )
 from repro.net.network import Network
+from repro.net.roster import Roster
 from repro.net.topology import LatencyModel, Topology
 from repro.sim.resources import Store
 
@@ -199,7 +200,8 @@ def make_membership_pool(engine, net, rngs, **config_kwargs):
     config_kwargs.setdefault("membership_suspect_timeout_s", 1000.0)
     config = PenelopeConfig(**config_kwargs)
     detector = FailureDetector(
-        engine, net, 1, [0, 1, 2, 3], config, rngs.stream("membership.1")
+        engine, net, 1, Roster([0, 1, 2, 3]).others(1), config,
+        rngs.stream("membership.1"),
     )
     pool = PowerPool(
         engine, net, 1, config, rngs.stream("pool"), membership=detector

@@ -14,6 +14,7 @@ from repro.membership import ALIVE, DEAD, SUSPECT, FailureDetector
 from repro.membership.messages import MembershipGossip
 from repro.net.messages import PORT_MEMBERSHIP, Addr, MembershipUpdate
 from repro.net.network import Network
+from repro.net.roster import Roster
 from repro.net.topology import LatencyModel, Topology
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -33,13 +34,13 @@ class Rig:
         self.topology = Topology(n, latency=LatencyModel(sigma=0.0))
         self.network = Network(self.engine, self.topology, self.rngs.stream("net"))
         self.detectors = {}
-        peers = list(range(n))
-        for node in peers:
+        roster = Roster(range(n))
+        for node in roster.ids:
             detector = FailureDetector(
                 self.engine,
                 self.network,
                 node,
-                peers,
+                roster.others(node),
                 self.config,
                 self.rngs.stream(f"membership.{node}"),
             )

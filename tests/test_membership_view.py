@@ -6,10 +6,11 @@ import pytest
 
 from repro.membership.view import ALIVE, DEAD, SUSPECT, MemberView
 from repro.net.messages import MembershipUpdate
+from repro.net.roster import Roster
 
 
 def make_view(peers=(1, 2, 3), **kwargs):
-    return MemberView(0, list(peers), **kwargs)
+    return MemberView(0, Roster((0, *peers)).others(0), **kwargs)
 
 
 class TestPrecedenceRules:
