@@ -10,7 +10,7 @@ from repro.net.topology import LatencyModel, Topology
 from repro.cluster.node import SimNode
 from repro.power.domain import SKYLAKE_6126_NODE, PowerDomainSpec
 from repro.sim.engine import Engine
-from repro.sim.events import EventBase
+from repro.sim.events import EventBase, FirstOf
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import PairAssignment
 
@@ -128,13 +128,39 @@ class Cluster:
         never finish, so its ``settled`` event (finish-or-kill) is what
         completion waits on -- a kill *during* the run correctly unblocks
         the experiment (§4.4).
+
+        The event counts down the ``settled`` events still pending: it
+        succeeds once the last one is processed (at construction if none
+        is pending) and fails, defusing the culprit, if one fails.
         """
         pending = [
             node.executor.settled
             for node in self.compute_nodes()
             if node.executor is not None and not node.executor.settled.triggered
         ]
-        return self.engine.all_of(pending)
+        done = self.engine.event()
+        remaining = len(pending)
+        if not remaining:
+            done.succeed()
+            return done
+
+        def settle(event: EventBase) -> None:
+            nonlocal remaining
+            if not event.ok:
+                # Delivered through ``done`` (or, once ``done`` has fired,
+                # deliberately dropped): not an unhandled loop failure.
+                event._defused = True
+                if not done.triggered:
+                    done.fail(event.value)
+                return
+            remaining -= 1
+            if not remaining and not done.triggered:
+                done.succeed()
+
+        for event in pending:
+            assert event.callbacks is not None
+            event.callbacks.append(settle)
+        return done
 
     def run_to_completion(
         self, time_limit_s: float = 1e7, start_workloads: bool = True
@@ -152,12 +178,11 @@ class Cluster:
                 node.start_workload()
         done = self.completion_event()
         guard = self.engine.timeout(time_limit_s)
-        finished = self.engine.run(until=self.engine.any_of([done, guard]))
+        self.engine.run(until=FirstOf(self.engine, done, guard))
         if not done.processed or not done.ok:
             raise RuntimeError(
                 f"cluster did not complete within {time_limit_s} simulated seconds"
             )
-        del finished
         if not guard.processed:
             # The livelock guard never fired: cancel it, or the queue
             # keeps a far-future timer and a later drain of this engine

@@ -564,9 +564,8 @@ class LocalDecider:
         try:
             while True:
                 get_event = self.inbox.get()
-                # Lean two-event wait: same wake-up/failure semantics as
-                # any_of([get_event, deadline]) without the condition
-                # bookkeeping (this wait happens once per request).
+                # Wake on the grant or the deadline, whichever processes
+                # first (this wait happens once per request).
                 yield wait_cls(engine, get_event, deadline)
                 if not get_event.triggered:
                     # Timeout: withdraw the getter so it cannot swallow a late

@@ -47,6 +47,7 @@ from repro.power.rapl import PowerCapInterface
 from repro.sim import (
     Engine,
     EventBase,
+    FirstOf,
     Interrupt,
     Process,
     Store,
@@ -96,7 +97,20 @@ class SlurmConfig(ManagerConfig):
 
 
 class SlurmServer:
-    """The central server: global cache of excess plus urgency bookkeeping."""
+    """The central server: global cache of excess plus urgency bookkeeping.
+
+    An urgent request the pool cannot cover records its node in
+    ``_urgent_deficits`` (node -> time recorded, in insertion order: the
+    first node inserted is the ``on_behalf_of`` of every release
+    directive).  A deficit expires once older than ``urgency_ttl_s``.
+    Expiry reads a time-ordered index instead of scanning the dict:
+    each record appends a ``(recorded_at, node)`` mark, and expiry pops
+    stale marks off the front, deleting a node only while its current
+    timestamp still equals the mark's (a re-record or a clear leaves an
+    outdated mark, which is simply dropped).  Each record costs O(1)
+    amortised, and the dict holds exactly what a full scan would keep,
+    in the same order.
+    """
 
     def __init__(
         self,
@@ -115,8 +129,10 @@ class SlurmServer:
         self.pool_w = 0.0
         self.excess_received_w = 0.0
         self.granted_out_w = 0.0
-        #: Unmet urgent need per node: node_id -> (deficit_w, recorded_at).
-        self._urgent_deficits: Dict[int, Tuple[float, float]] = {}
+        #: Nodes with an unmet urgent need: node_id -> recorded_at.
+        self._urgent_deficits: Dict[int, float] = {}
+        #: ``(recorded_at, node_id)`` per record, oldest first (expiry index).
+        self._urgency_marks: Deque[Tuple[float, int]] = deque()
         #: Request arrival times in the last period (scale-aware limiting).
         self._recent_requests: Deque[float] = deque()
         self.server = RequestServer(
@@ -154,13 +170,12 @@ class SlurmServer:
     def _expire_stale_urgency(self) -> None:
         now = self.engine.now
         ttl = self.config.urgency_ttl_s
-        stale = [
-            node
-            for node, (_, at) in self._urgent_deficits.items()
-            if now - at > ttl
-        ]
-        for node in stale:
-            del self._urgent_deficits[node]
+        marks = self._urgency_marks
+        deficits = self._urgent_deficits
+        while marks and now - marks[0][0] > ttl:
+            at, node = marks.popleft()
+            if deficits.get(node) == at:
+                del deficits[node]
 
     @property
     def has_unmet_urgency(self) -> bool:
@@ -188,7 +203,9 @@ class SlurmServer:
             self.pool_w -= delta
             unmet = message.alpha - delta
             if unmet > 1e-9:
-                self._urgent_deficits[requester] = (unmet, self.engine.now)
+                now = self.engine.now
+                self._urgent_deficits[requester] = now
+                self._urgency_marks.append((now, requester))
             else:
                 self._urgent_deficits.pop(requester, None)
         else:
@@ -411,7 +428,7 @@ class SlurmClient:
         timed_out = False
         while True:
             get_event = self.inbox.get()
-            yield self.engine.any_of([get_event, deadline])
+            yield FirstOf(self.engine, get_event, deadline)
             if not get_event.triggered:
                 self.inbox.cancel_get(get_event)
                 timed_out = True

@@ -6,7 +6,7 @@ simulation core.  It provides:
 * :class:`~repro.sim.engine.Engine` -- the event loop and simulated clock,
 * generator-based processes (:class:`~repro.sim.process.Process`) with
   interrupt support,
-* waitable events and composite conditions
+* waitable events, including the two-event race :class:`FirstOf`
   (:mod:`repro.sim.events`),
 * synchronization / queueing primitives used to model locks and bounded
   message queues (:mod:`repro.sim.resources`),
@@ -29,8 +29,6 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, StopSimulation
 from repro.sim.schedulers import HeapScheduler
 from repro.sim.events import (
-    AllOf,
-    AnyOf,
     Callback,
     Event,
     EventBase,
@@ -45,8 +43,6 @@ from repro.sim._stop import stop_process
 from repro.sim.streams import STREAM_TABLE, StreamSpec, lookup as lookup_stream
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Callback",
     "Engine",
     "Event",

@@ -25,13 +25,11 @@ reach the dispatch loop and never count toward ``processed_events``.
 from __future__ import annotations
 
 from itertools import count
-from typing import Any, Callable, Generator, List, Optional, Union
+from typing import Any, Callable, Generator, Optional, Union
 
 from repro.sim.config import DEFAULT_TICK_SLOTS, SimConfig, default_batched_ticks
 from repro.sim.events import (
     PRIORITY_NORMAL,
-    AllOf,
-    AnyOf,
     Callback,
     Event,
     EventBase,
@@ -151,12 +149,6 @@ class Engine:
     ) -> Process:
         """Start a new :class:`~repro.sim.process.Process` from ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: List[EventBase]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[EventBase]) -> AllOf:
-        return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 

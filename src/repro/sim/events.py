@@ -145,14 +145,6 @@ class EventBase:
         )
         return f"<{label} {state} at {hex(id(self))}>"
 
-    # -- composition -----------------------------------------------------
-
-    def __or__(self, other: "EventBase") -> "AnyOf":
-        return AnyOf(self.engine, [self, other])
-
-    def __and__(self, other: "EventBase") -> "AllOf":
-        return AllOf(self.engine, [self, other])
-
 
 class Event(EventBase):
     """A plain, manually-triggered event (rendezvous point)."""
@@ -203,7 +195,8 @@ class Timeout(EventBase):
         event loop at scale.
 
         Only the owner of a timeout may cancel it: any callbacks already
-        registered (by conditions or waiting processes) will never run.
+        registered (by a :class:`FirstOf` or a waiting process) will never
+        run.
         Cancelling twice is a no-op; cancelling an already-processed
         timeout is an error.
         """
@@ -284,17 +277,19 @@ class Callback(EventBase):
 
 
 class FirstOf(EventBase):
-    """Lean two-event ``AnyOf`` for hot wait loops.
+    """Wakes on the first of two sub-events to be processed.
 
-    Triggers with ``None`` as soon as either sub-event is processed
-    (failing instead when that first sub-event failed, exactly like
-    :class:`AnyOf`).  Unlike a full condition there is no
-    :class:`ConditionValue` snapshot: callers that only need the wake-up
-    and inspect the sub-events themselves (e.g. the decider's
-    grant-or-deadline wait, once per request cluster-wide) save the
-    condition bookkeeping on every wait.
+    Triggers with ``None`` as soon as either sub-event is processed,
+    failing instead when that first sub-event failed (the failure is
+    defused: it surfaces in the waiter, not at the top of the event
+    loop).  There is no snapshot of sub-event values: callers inspect
+    the sub-events themselves, e.g. the decider's and the SLURM
+    client's grant-or-deadline wait, once per request cluster-wide.
 
-    Both sub-events must be unprocessed at construction.
+    A sub-event that is already processed at construction triggers the
+    wait on the spot, in declaration order: ``first`` wins if both are.
+    A sub-event still pending keeps the wait registered, so its late
+    firing is ignored (a late failure is defused).
     """
 
     __slots__ = ()
@@ -302,8 +297,6 @@ class FirstOf(EventBase):
     def __init__(
         self, engine: "Engine", first: EventBase, second: EventBase
     ) -> None:
-        if first.callbacks is None or second.callbacks is None:
-            raise RuntimeError("FirstOf sub-events must be unprocessed")
         # Inlined EventBase.__init__ (hot path).
         self.engine = engine
         self.name = None
@@ -312,8 +305,16 @@ class FirstOf(EventBase):
         self._ok = True
         self._defused = False
         self._cancelled = False
-        first.callbacks.append(self._on_sub)
-        second.callbacks.append(self._on_sub)
+        callbacks = first.callbacks
+        if callbacks is None:
+            self._on_sub(first)
+        else:
+            callbacks.append(self._on_sub)
+        callbacks = second.callbacks
+        if callbacks is None:
+            self._on_sub(second)
+        else:
+            callbacks.append(self._on_sub)
 
     def _on_sub(self, event: EventBase) -> None:
         if self._value is not _PENDING:
@@ -354,8 +355,10 @@ class InlineFirstOf(FirstOf):
     def __init__(
         self, engine: "Engine", first: EventBase, second: EventBase
     ) -> None:
-        FirstOf.__init__(self, engine, first, second)
+        # Set before FirstOf.__init__, which may already deliver a
+        # processed sub-event to ``_on_sub``.
         self._first = first
+        FirstOf.__init__(self, engine, first, second)
 
     def _on_sub(self, event: EventBase) -> None:
         if self._value is not _PENDING:
@@ -370,108 +373,3 @@ class InlineFirstOf(FirstOf):
         assert callbacks is not None, "event processed twice"
         for callback in callbacks:
             callback(self)
-
-
-class ConditionValue:
-    """Mapping-like container with the values of a condition's sub-events.
-
-    The contents are a *snapshot* taken at the instant the condition
-    triggered: sub-events that fire later do not appear.  Declaration
-    order is preserved.
-    """
-
-    __slots__ = ("_events", "_triggered")
-
-    def __init__(self, events: List["EventBase"]) -> None:
-        self._events = events
-        # Snapshot of the sub-events already *processed* when the condition
-        # fired.  ("Triggered" is not enough: a Timeout carries its value
-        # from construction but has not occurred until processed.)
-        self._triggered = [e for e in events if e.processed and e.ok]
-
-    def __getitem__(self, event: "EventBase") -> Any:
-        if event not in self._triggered:
-            raise KeyError(event)
-        return event.value
-
-    def __contains__(self, event: "EventBase") -> bool:
-        return event in self._triggered
-
-    def __len__(self) -> int:
-        return len(self._triggered)
-
-    def events(self) -> List["EventBase"]:
-        """The sub-events that had triggered, in declaration order."""
-        return list(self._triggered)
-
-    def values(self) -> List[Any]:
-        return [e.value for e in self._triggered]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ConditionValue {self.values()!r}>"
-
-
-class _Condition(EventBase):
-    """Common machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("_events", "_needed")
-
-    def __init__(self, engine: "Engine", events: List[EventBase], needed: int) -> None:
-        super().__init__(engine)
-        self._events = list(events)
-        for event in self._events:
-            if event.engine is not engine:
-                raise ValueError("all condition sub-events must share one engine")
-        self._needed = needed
-        if needed <= 0:
-            # Trivially satisfied (e.g. AllOf([])).
-            self.succeed(ConditionValue(self._events))
-            return
-        pending = 0
-        for event in self._events:
-            if event.processed:
-                self._check(event, count=False)
-            else:
-                assert event.callbacks is not None
-                event.callbacks.append(self._check)
-                pending += 1
-        # Account for already-processed successes.
-        done = sum(1 for e in self._events if e.processed and e.ok)
-        if not self.triggered and done >= self._needed:
-            self.succeed(ConditionValue(self._events))
-        if not self.triggered and pending == 0 and done < self._needed:
-            raise RuntimeError("condition can never be satisfied")
-
-    def _check(self, event: EventBase, count: bool = True) -> None:
-        if self.triggered:
-            # Late failures of sub-events must not be silently lost.
-            if not event.ok:
-                event._defused = True
-            return
-        if not event.ok:
-            event._defused = True
-            self.fail(event.value)
-            return
-        done = sum(1 for e in self._events if e.processed and e.ok)
-        if done >= self._needed:
-            self.succeed(ConditionValue(self._events))
-
-
-class AnyOf(_Condition):
-    """Fires when any one of ``events`` succeeds (or any fails)."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: List[EventBase]) -> None:
-        events = list(events)
-        super().__init__(engine, events, needed=min(1, len(events)))
-
-
-class AllOf(_Condition):
-    """Fires when every one of ``events`` has succeeded (or any fails)."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: List[EventBase]) -> None:
-        events = list(events)
-        super().__init__(engine, events, needed=len(events))

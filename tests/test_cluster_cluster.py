@@ -130,3 +130,62 @@ class TestKillNode:
             if node.executor.finished_at is not None
         ]
         assert runtime == max(survivors)
+
+
+class TestCompletionEvent:
+    """``completion_event`` counts down the still-pending ``settled`` events."""
+
+    def _cluster(self, n=4, scale=0.1):
+        engine, cluster = make_cluster(n=n)
+        assignment = assign_pair_to_cluster(
+            ("EP", "DC"), range(n), rng=np.random.default_rng(0), scale=scale
+        )
+        cluster.install_assignment(assignment)
+        return engine, cluster
+
+    def test_none_pending_fires_at_construction(self):
+        engine, cluster = make_cluster(n=2)  # no workloads at all
+        done = cluster.completion_event()
+        assert done.triggered and not done.processed
+        engine.run()
+        assert done.processed and done.ok
+        assert engine.now == 0.0 and engine.processed_events == 1
+
+    def test_fires_once_when_last_settles(self):
+        engine, cluster = self._cluster()
+        cluster.start_workloads()
+        done = cluster.completion_event()
+        seen = []
+        done.callbacks.append(lambda event: seen.append(engine.now))
+        engine.run()
+        last = max(node.executor.finished_at for node in cluster.compute_nodes())
+        assert seen == [last]
+        assert done.ok
+
+    def test_node_killed_mid_run_settles_it(self):
+        engine, cluster = self._cluster(scale=0.2)
+        cluster.start_workloads()
+        done = cluster.completion_event()
+        engine.run(until=2.0)
+        cluster.kill_node(0)
+        engine.run(until=done)
+        assert cluster.node(0).executor.finished_at is None
+        survivors = [
+            node.executor.finished_at
+            for node in cluster.compute_nodes()
+            if node.executor.finished_at is not None
+        ]
+        assert len(survivors) == 3 and engine.now == max(survivors)
+
+    def test_failed_settled_fails_and_defuses(self):
+        engine, cluster = self._cluster()
+        settled = [node.executor.settled for node in cluster.compute_nodes()]
+        done = cluster.completion_event()
+        settled[1].fail(RuntimeError("boom"), delay=1.0)
+        settled[2].fail(RuntimeError("late"), delay=2.0)
+        with pytest.raises(RuntimeError, match="boom"):
+            engine.run(until=done)
+        assert engine.now == 1.0 and settled[1]._defused
+        # A failure after ``done`` has fired is dropped, not surfaced.
+        engine.run(until=3.0)
+        assert settled[2].processed and settled[2]._defused

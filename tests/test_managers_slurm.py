@@ -7,6 +7,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.managers.slurm import SlurmConfig, SlurmManager
+from repro.net.messages import PORT_DECIDER, Addr, PowerRequest
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
@@ -196,7 +197,13 @@ class TestCentralizedUrgency:
     def test_deficit_expires(self):
         _, _, manager = build()
         server = manager.server
-        server._urgent_deficits[1] = (10.0, 0.0)
+        # An urgent request the empty pool cannot cover records a deficit.
+        server._handle(
+            PowerRequest(
+                src=Addr(1, PORT_DECIDER), dst=server.addr, urgent=True, alpha=10.0
+            )
+        )
+        assert server.has_unmet_urgency
         server.engine._now = 100.0  # long past the TTL
         assert not server.has_unmet_urgency
 

@@ -1,35 +1,23 @@
-"""Edge-case tests: nested conditions, gate races, process chains."""
+"""Edge-case tests: nested waits, gate races, process chains."""
 
 from __future__ import annotations
 
-from repro.sim.events import AllOf, AnyOf
+from repro.sim.events import FirstOf
 from repro.sim.resources import Gate, Store
 
 
 class TestNestedConditions:
     def test_condition_of_conditions(self, engine):
-        a = engine.timeout(1.0, "a")
         b = engine.timeout(2.0, "b")
         c = engine.timeout(3.0, "c")
+        d = engine.timeout(5.0, "d")
 
         def waiter():
-            yield AnyOf(engine, [AllOf(engine, [a, b]), c])
+            yield FirstOf(engine, FirstOf(engine, b, c), d)
             return engine.now
         proc = engine.process(waiter())
         engine.run()
-        assert proc.value == 2.0  # (a & b) wins at t=2 before c at t=3
-
-    def test_allof_containing_anyof(self, engine):
-        fast = engine.timeout(1.0)
-        slow = engine.timeout(5.0)
-        other = engine.timeout(3.0)
-
-        def waiter():
-            yield AllOf(engine, [AnyOf(engine, [fast, slow]), other])
-            return engine.now
-        proc = engine.process(waiter())
-        engine.run()
-        assert proc.value == 3.0
+        assert proc.value == 2.0  # the inner wait wins at t=2 before d at t=5
 
     def test_condition_with_process_members(self, engine):
         def worker(delay, value):
@@ -39,11 +27,27 @@ class TestNestedConditions:
         p2 = engine.process(worker(2.0, "y"))
 
         def waiter():
-            result = yield p1 & p2
-            return sorted(result.values())
+            yield FirstOf(engine, p2, p1)
+            return (engine.now, p1.value, p2.processed)
         proc = engine.process(waiter())
         engine.run()
-        assert proc.value == ["x", "y"]
+        assert proc.value == (1.0, "x", False)
+
+    def test_process_member_failure_propagates(self, engine):
+        def crasher():
+            yield engine.timeout(1.0)
+            raise ValueError("worker crashed")
+
+        member = engine.process(crasher())
+
+        def waiter():
+            try:
+                yield FirstOf(engine, engine.timeout(5.0), member)
+            except ValueError as exc:
+                return (engine.now, str(exc))
+        proc = engine.process(waiter())
+        engine.run()
+        assert proc.value == (1.0, "worker crashed")
 
 
 class TestProcessChains:
