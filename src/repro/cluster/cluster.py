@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.net.network import Network
 from repro.net.topology import LatencyModel, Topology
-from repro.cluster.node import SimNode
+from repro.cluster.node import Node, SimNode, TraceNode
 from repro.power.domain import SKYLAKE_6126_NODE, PowerDomainSpec
 from repro.sim.engine import Engine
 from repro.sim.events import EventBase, FirstOf
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import PairAssignment
+from repro.workloads.phases import Workload
+from repro.workloads.traces import PowerTrace, constant_trace
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,20 @@ class ClusterConfig:
 
 
 class Cluster:
-    """Nodes, network and workload wiring for one simulation run."""
+    """Nodes, network and workload wiring for one simulation run.
+
+    By default every node is a :class:`~repro.cluster.node.SimNode`.
+    Given ``traces`` (node id -> power profile), every node is instead a
+    :class:`~repro.cluster.node.TraceNode` playing its profile back;
+    nodes without one (a manager's server nodes) idle.
+    """
 
     def __init__(
         self,
         engine: Engine,
         config: ClusterConfig,
         rng_registry: Optional[RngRegistry] = None,
+        traces: Optional[Mapping[int, PowerTrace]] = None,
     ) -> None:
         config.validate_budget()
         self.engine = engine
@@ -76,42 +85,64 @@ class Cluster:
             self.rngs.stream("net.latency"),
             loss_probability=config.message_loss_probability,
         )
-        self.nodes: List[SimNode] = [
-            SimNode(
-                engine,
-                node_id,
-                config.spec,
-                self.rngs.stream(f"node.{node_id}.rapl"),
-                initial_cap_w=config.fair_share_w,
-                enforcement_delay_s=config.enforcement_delay_s,
-                reading_noise=config.reading_noise,
-            )
-            for node_id in range(config.n_nodes)
-        ]
+        self.nodes: List[Node]
+        if traces is None:
+            self.nodes = [
+                SimNode(
+                    engine,
+                    node_id,
+                    config.spec,
+                    self.rngs.stream(f"node.{node_id}.rapl"),
+                    initial_cap_w=config.fair_share_w,
+                    enforcement_delay_s=config.enforcement_delay_s,
+                    reading_noise=config.reading_noise,
+                )
+                for node_id in range(config.n_nodes)
+            ]
+        else:
+            idle = constant_trace(config.spec.idle_w)
+            self.nodes = [
+                TraceNode(
+                    engine,
+                    node_id,
+                    config.spec,
+                    traces.get(node_id, idle),
+                    initial_cap_w=config.fair_share_w,
+                )
+                for node_id in range(config.n_nodes)
+            ]
 
     # -- lookups -----------------------------------------------------------
 
-    def node(self, node_id: int) -> SimNode:
+    def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
     @property
     def node_ids(self) -> range:
         return range(self.config.n_nodes)
 
-    def alive_nodes(self) -> List[SimNode]:
+    def alive_nodes(self) -> List[Node]:
         return [n for n in self.nodes if n.alive]
 
-    def compute_nodes(self) -> List[SimNode]:
+    def compute_nodes(self) -> List[Node]:
         """Nodes with a workload attached."""
         return [n for n in self.nodes if n.executor is not None]
 
     # -- workloads ------------------------------------------------------------
 
     def install_assignment(
-        self, assignment: PairAssignment, overhead_factor: float = 0.0
+        self,
+        assignment: Union[PairAssignment, Mapping[int, Workload]],
+        overhead_factor: float = 0.0,
     ) -> None:
-        """Attach the pair's workloads to their nodes (§4.1 half/half)."""
-        for node_id, workload in assignment.workloads.items():
+        """Attach workloads to their nodes: a pair's (§4.1 half/half) or
+        any node id -> workload mapping."""
+        workloads = (
+            assignment.workloads
+            if isinstance(assignment, PairAssignment)
+            else assignment
+        )
+        for node_id, workload in workloads.items():
             self.nodes[node_id].assign_workload(
                 workload, overhead_factor=overhead_factor
             )
@@ -198,7 +229,7 @@ class Cluster:
     # -- power views --------------------------------------------------------------
 
     def total_requested_caps_w(self, only_alive: bool = True) -> float:
-        nodes: Sequence[SimNode] = self.alive_nodes() if only_alive else self.nodes
+        nodes: Sequence[Node] = self.alive_nodes() if only_alive else self.nodes
         return sum(node.rapl.cap_w for node in nodes)
 
     def cap_snapshot(self) -> Dict[int, float]:

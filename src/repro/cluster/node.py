@@ -1,13 +1,19 @@
-"""One simulated machine: power domain, RAPL, and a workload executor."""
+"""One simulated machine: power domain, RAPL, and a workload executor.
+
+A cluster node is one of two kinds: a :class:`SimNode` runs a workload
+under simulated RAPL, and a :class:`TraceNode` plays back a recorded
+power profile (the §4.5 large-scale mode).
+"""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.power.domain import PowerDomainSpec
 from repro.power.rapl import SimulatedRapl
+from repro.power.trace_source import TracePowerSource
 from repro.power.sockets import (
     consumed_with_sockets,
     socket_demands_w,
@@ -18,6 +24,7 @@ from repro.sim.events import Event, EventBase, Timeout
 from repro.sim.process import Interrupt, Process
 from repro.workloads.performance import consumed_power_w, speed_under_cap
 from repro.workloads.phases import Phase, Workload
+from repro.workloads.traces import PowerTrace
 
 #: Interrupt causes understood by the executor.
 _CAUSE_RECOMPUTE = "recompute"
@@ -256,3 +263,61 @@ class SimNode:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.alive else "dead"
         return f"<SimNode {self.node_id} {status} cap={self.rapl.cap_w:.1f}W>"
+
+
+class TraceNode:
+    """A machine that plays back a power profile instead of a workload.
+
+    §4.5: at simulated scale the deciders "no longer interact with
+    hardware, and instead use curated profiles of power consumption over
+    time".  The node's demand comes from a
+    :class:`~repro.workloads.traces.PowerTrace` through a
+    :class:`~repro.power.trace_source.TracePowerSource`, which enforces
+    caps immediately and reads without noise, so a trace node draws no
+    random stream.  It runs no workload: ``executor`` is always ``None``
+    and a kill only stops the daemons it hosts.
+    """
+
+    executor: Optional[WorkloadExecutor] = None
+
+    def __init__(
+        self,
+        engine: Engine,
+        node_id: int,
+        spec: PowerDomainSpec,
+        trace: PowerTrace,
+        initial_cap_w: Optional[float] = None,
+    ) -> None:
+        self.engine = engine
+        self.node_id = node_id
+        self.spec = spec
+        self.rapl = TracePowerSource(engine, spec, trace, initial_cap_w=initial_cap_w)
+        self.alive = True
+        self.on_kill: List[Callable[[], None]] = []
+
+    def assign_workload(
+        self, workload: Workload, overhead_factor: float = 0.0
+    ) -> WorkloadExecutor:
+        raise RuntimeError(f"trace node {self.node_id} runs no workload")
+
+    def start_workload(self) -> None:
+        raise RuntimeError(f"trace node {self.node_id} runs no workload")
+
+    def kill(self) -> None:
+        """Crash the node: the daemons it hosts stop."""
+        if not self.alive:
+            return
+        self.alive = False
+        for callback in list(self.on_kill):
+            callback()
+
+    def revive(self) -> None:
+        """Restart a crashed node; the profile plays on."""
+        if self.alive:
+            raise RuntimeError(f"node {self.node_id} is already alive")
+        self.alive = True
+        self.on_kill.clear()
+
+
+#: Either node kind; a cluster holds one kind throughout.
+Node = Union[SimNode, TraceNode]

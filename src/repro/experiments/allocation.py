@@ -16,7 +16,7 @@ yardstick for everyone else:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from repro.experiments.runner import (
 )
 from repro.managers.base import ManagerConfig
 from repro.managers.podd import proportional_caps
+from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,11 @@ class AllocationSpec:
     observe_s: float = 30.0
     sample_every_s: float = 1.0
     manager_config: Optional[ManagerConfig] = None
+    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sim", self.sim.resolved())
         if self.observe_s <= 0 or self.sample_every_s <= 0:
             raise ValueError("observation times must be positive")
 
@@ -107,6 +111,7 @@ def run_allocation_point(spec: AllocationSpec) -> AllocationTrace:
         seed=spec.seed,
         workload_scale=spec.workload_scale,
         manager_config=spec.manager_config,
+        sim=spec.sim,
     )
     engine, cluster, manager = build_run(run_spec)
     oracle = oracle_allocation(cluster, manager.client_ids, run_spec.budget_w)

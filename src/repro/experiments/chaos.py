@@ -28,11 +28,11 @@ import statistics
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
 from repro.core.config import PenelopeConfig
 from repro.core.manager import ConservationLedger, PenelopeManager
 from repro.experiments import serialize
+from repro.experiments.harness import build_universe, pair_workloads
 from repro.experiments.invariants import (
     Invariant,
     InvariantMonitor,
@@ -46,7 +46,6 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.workloads.generator import assign_pair_to_cluster
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,11 @@ class ChaosSpec:
     reorder_window_s: float = 0.05
     max_drift_rate: float = 0.05
     slow_factor: float = 8.0
+    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    sim: SimConfig = dataclasses.field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sim", self.sim.resolved())
         if self.n_clients < 4:
             raise ValueError("chaos runs need at least four client nodes")
         if self.duration_s <= 0:
@@ -426,16 +428,13 @@ class ChaosResult:
 
 def run_chaos_single(
     spec: ChaosSpec,
-    sim: Optional[SimConfig] = None,
     plan: Optional[FaultPlan] = None,
     invariants: Optional[Sequence[Invariant]] = None,
     fail_fast: bool = True,
 ) -> ChaosResult:
     """Run one seeded chaos storm to its horizon under continuous audit.
 
-    ``sim`` selects kernel knobs (batched ticks) exactly as in
-    :func:`repro.experiments.harness.run_single`; ``None`` defers to the
-    ambient environment defaults.  The pinned chaos fixture passes
+    The tick mode is ``spec.sim``.  The pinned chaos fixture pins
     ``SimConfig(batched_ticks=False)`` -- its bytes encode the staggered
     per-node trajectory, which the batcher only approximates.
 
@@ -444,39 +443,27 @@ def run_chaos_single(
     default invariant set; ``fail_fast=False`` records violations in the
     result instead of raising at the first one.
     """
-    engine = Engine(sim=sim)
-    rngs = RngRegistry(seed=spec.seed)
-    config = PenelopeConfig(
-        response_timeout_s=spec.response_timeout_s,
-        request_retries=spec.request_retries,
-        grant_ack_retries=spec.grant_ack_retries,
-        enable_membership=spec.enable_membership,
-        membership_probe_period_s=spec.membership_probe_period_s,
-    )
-    manager = PenelopeManager(
-        config=config, recorder=MetricsRecorder(record_caps=False)
-    )
-    cluster_config = ClusterConfig(
-        n_nodes=spec.n_clients,
-        system_power_budget_w=spec.budget_w,
-        message_loss_probability=spec.base_loss,
-    )
-    cluster = Cluster(engine, cluster_config, rngs)
-    assignment = assign_pair_to_cluster(
-        spec.pair,
-        range(spec.n_clients),
-        rng=rngs.stream("workload.jitter"),
-        scale=spec.workload_scale,
-    )
-    cluster.install_assignment(
-        assignment, overhead_factor=config.overhead_factor
-    )
-    manager.install(
-        cluster, client_ids=list(range(spec.n_clients)), budget_w=spec.budget_w
-    )
     if plan is None:
         plan = build_chaos_plan(spec)
-    plan.install(cluster, manager)
+    engine, cluster, manager = build_universe(
+        "penelope",
+        seed=spec.seed,
+        n_clients=spec.n_clients,
+        budget_w=spec.budget_w,
+        sim=spec.sim,
+        workloads=pair_workloads(spec.pair, spec.n_clients, spec.workload_scale),
+        manager_config=PenelopeConfig(
+            response_timeout_s=spec.response_timeout_s,
+            request_retries=spec.request_retries,
+            grant_ack_retries=spec.grant_ack_retries,
+            enable_membership=spec.enable_membership,
+            membership_probe_period_s=spec.membership_probe_period_s,
+        ),
+        record_caps=False,
+        fault_plan=plan,
+        loss_probability=spec.base_loss,
+    )
+    assert isinstance(manager, PenelopeManager)
     monitor = InvariantMonitor(
         engine, manager, invariants=invariants, fail_fast=fail_fast
     )

@@ -19,10 +19,11 @@ delta-debugging to the *schedule*:
 
 The minimized schedule is emitted as a JSON repro file (format
 ``penelope-fuzz-repro/1``) that ``repro fuzz --replay <file>`` re-runs
-deterministically: every fuzz/shrink/replay run pins
-``SimConfig(batched_ticks=False)`` and derives all sampling from the
-master seed's ``fuzz.sample`` stream, so the same invocation always
-finds, shrinks and replays the same schedule.
+deterministically: every sampled spec pins
+``SimConfig(batched_ticks=False)`` (a repro file's spec decodes to it)
+and all sampling comes from the master seed's ``fuzz.sample`` stream,
+so the same invocation always finds, shrinks and replays the same
+schedule.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from repro.sim.rng import RngRegistry
 #: Repro-file schema identifier (bump on incompatible change).
 REPRO_FORMAT = "penelope-fuzz-repro/1"
 
-#: Every run in the fuzz/shrink/replay loop pins the per-node trajectory
-#: (the batcher approximates staggered ticks; a repro must be exact).
+#: Every sampled spec pins the per-node trajectory (the batcher
+#: approximates staggered ticks; a repro must be exact).
 _SIM = SimConfig(batched_ticks=False)
 
 
@@ -134,6 +135,7 @@ def sample_spec(rng: np.random.Generator, config: FuzzConfig) -> ChaosSpec:
         clock_drifts=int(rng.integers(0, 3)),
         slow_nodes=int(rng.integers(0, 3)),
         enable_membership=bool(rng.integers(0, 2)),
+        sim=_SIM,
     )
 
 
@@ -270,7 +272,6 @@ def _violates(
     """Run the candidate schedule; the target invariant's violation or None."""
     result = run_chaos_single(
         spec,
-        sim=_SIM,
         plan=serialize.decode(FaultPlan, plan_dict),
         invariants=invariants,
         fail_fast=False,
@@ -395,7 +396,7 @@ def run_fuzz(
             if journal_log is not None:
                 journal_log.record_submitted(fingerprint, trial, 0)
             result = run_chaos_single(
-                spec, sim=_SIM, invariants=invariants, fail_fast=False
+                spec, invariants=invariants, fail_fast=False
             )
             summary: Dict[str, Any] = {
                 "trial": trial,
@@ -467,7 +468,6 @@ def replay_repro(
     expected = serialize.decode(InvariantViolation, repro["violation"])
     result = run_chaos_single(
         spec,
-        sim=_SIM,
         plan=serialize.decode(FaultPlan, repro["plan"]),
         invariants=invariants,
         fail_fast=False,

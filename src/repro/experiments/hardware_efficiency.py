@@ -27,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
-from repro.cluster.cluster import Cluster, ClusterConfig
-from repro.experiments.harness import extra_nodes, make_manager
-from repro.sim.engine import Engine
+from repro.experiments.harness import build_universe, extra_nodes
 from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
+from repro.workloads.phases import Workload
 
 
 @dataclass(frozen=True)
@@ -68,26 +67,26 @@ def run_hardware_efficiency(
     n_clients = total_nodes - withheld
     if n_clients < 2:
         raise ValueError("not enough hardware left to compute on")
-    engine = Engine()
-    rngs = RngRegistry(seed=seed)
-    cluster = Cluster(
-        engine,
-        ClusterConfig(
-            n_nodes=total_nodes,
-            system_power_budget_w=budget_w * total_nodes / n_clients,
-        ),
-        rngs,
+
+    def workloads(rngs: RngRegistry) -> Dict[int, Workload]:
+        jitter = rngs.stream("workload.jitter")
+        return {
+            node_id: build_app(app, rng=jitter, scale=workload_scale)
+            for node_id in range(n_clients)
+        }
+
+    _, cluster, manager = build_universe(
+        manager_name,
+        seed=seed,
+        n_clients=n_clients,
+        budget_w=budget_w,
+        sim=None,
+        workloads=workloads,
     )
-    manager = make_manager(manager_name)
-    jitter = rngs.stream("workload.jitter")
-    work_total = 0.0
-    for node_id in range(n_clients):
-        workload = build_app(app, rng=jitter, scale=workload_scale)
-        work_total += workload.total_work_s
-        cluster.node(node_id).assign_workload(
-            workload, overhead_factor=manager.config.overhead_factor
-        )
-    manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget_w)
+    assert manager is not None
+    work_total = sum(
+        node.executor.workload.total_work_s for node in cluster.compute_nodes()
+    )
     manager.start()
     makespan = cluster.run_to_completion()
     manager.audit().check()

@@ -1,15 +1,18 @@
-"""Single-run driver shared by the nominal, faulty and overhead experiments.
+"""The one universe builder, and the single-run driver built on it.
 
-A :class:`RunSpec` fully describes one measurement: manager, application
-pair, initial per-socket cap, cluster size, seed and optional fault plan.
-:func:`run_single` builds a fresh simulation universe for it, runs to
-completion, audits the §2.1 constraints and returns a :class:`RunResult`.
+:func:`build_universe` constructs every experiment's simulation: engine,
+cluster (workload-running or trace-playback nodes), workloads, manager
+and fault plan.  A :class:`RunSpec` fully describes one nominal/faulty
+measurement: manager, application pair, initial per-socket cap, cluster
+size, seed, optional fault plan and tick mode.  :func:`run_single`
+builds a fresh universe for it, runs to completion, audits the §2.1
+constraints and returns a :class:`RunResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
@@ -22,10 +25,19 @@ from repro.managers.podd import PoddManager
 from repro.managers.slurm import SlurmConfig, SlurmManager
 from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.net.network import NetworkStats
+from repro.power.domain import SKYLAKE_6126_NODE, PowerDomainSpec
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.workloads.generator import assign_pair_to_cluster
+from repro.workloads.generator import PairAssignment, assign_pair_to_cluster
+from repro.workloads.phases import Workload
+from repro.workloads.traces import PowerTrace
+
+#: Builds a universe's workloads from its random streams: a pair
+#: assignment or any node id -> workload mapping.
+WorkloadsFactory = Callable[
+    [RngRegistry], Union[PairAssignment, Mapping[int, Workload]]
+]
 
 #: manager name -> (factory taking an optional ManagerConfig,
 #:                  dedicated server nodes withheld beyond the clients,
@@ -99,8 +111,11 @@ class RunSpec:
     fault_plan: Optional[FaultPlan] = None
     record_caps: bool = False
     time_limit_s: float = 1e6
+    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sim", self.sim.resolved())
         if self.manager not in MANAGER_FACTORIES:
             raise ValueError(f"unknown manager {self.manager!r}")
         if self.n_clients < 2:
@@ -141,47 +156,103 @@ class RunResult:
         return 1.0 / self.runtime_s
 
 
-def build_run(spec: RunSpec, sim: Optional[SimConfig] = None):
+def pair_workloads(
+    pair: Tuple[str, str], n_clients: int, scale: float
+) -> WorkloadsFactory:
+    """§4.1's half/half split of ``pair`` over the first ``n_clients``
+    nodes, jittered from the ``workload.jitter`` stream."""
+    return lambda rngs: assign_pair_to_cluster(
+        pair, range(n_clients), rng=rngs.stream("workload.jitter"), scale=scale
+    )
+
+
+def build_universe(
+    manager: Optional[str],
+    *,
+    seed: int,
+    n_clients: int,
+    budget_w: float,
+    sim: Optional[SimConfig],
+    workloads: Optional[WorkloadsFactory] = None,
+    traces: Optional[Mapping[int, PowerTrace]] = None,
+    node_spec: PowerDomainSpec = SKYLAKE_6126_NODE,
+    manager_config: Optional[ManagerConfig] = None,
+    record_caps: bool = True,
+    fault_plan: Optional[FaultPlan] = None,
+    loss_probability: float = 0.0,
+) -> Tuple[Engine, Cluster, Optional[PowerManager]]:
+    """Construct (engine, cluster, manager) for one run without starting it.
+
+    Clients are nodes ``0..n_clients-1``; the manager's server nodes
+    (:func:`extra_nodes`) follow them, and the system budget grows by
+    the same ratio so every node's fair share stays ``budget_w /
+    n_clients``.  Nodes run ``workloads`` or, given ``traces``, play
+    back power profiles.  ``manager=None`` builds an unmanaged cluster.
+    ``sim=None`` takes the ambient kernel defaults; spec-driven runs
+    always pass their spec's resolved ``sim``.
+    """
+    engine = Engine(sim=sim)
+    rngs = RngRegistry(seed=seed)
+    extra = extra_nodes(manager) if manager is not None else 0
+    power_manager = (
+        make_manager(
+            manager,
+            config=manager_config,
+            recorder=MetricsRecorder(record_caps=record_caps),
+        )
+        if manager is not None
+        else None
+    )
+    cluster_config = ClusterConfig(
+        n_nodes=n_clients + extra,
+        spec=node_spec,
+        system_power_budget_w=budget_w * (n_clients + extra) / n_clients,
+        message_loss_probability=loss_probability,
+    )
+    cluster = Cluster(engine, cluster_config, rngs, traces=traces)
+    if workloads is not None:
+        cluster.install_assignment(
+            workloads(rngs),
+            overhead_factor=(
+                power_manager.config.overhead_factor if power_manager else 0.0
+            ),
+        )
+    if power_manager is not None:
+        power_manager.install(
+            cluster, client_ids=list(range(n_clients)), budget_w=budget_w
+        )
+    if fault_plan is not None:
+        fault_plan.install(cluster, power_manager)
+    return engine, cluster, power_manager
+
+
+def build_run(
+    spec: RunSpec, sim: Optional[SimConfig] = None
+) -> Tuple[Engine, Cluster, PowerManager]:
     """Construct (engine, cluster, manager) for ``spec`` without running.
 
     Exposed separately so tests and examples can poke at a mid-flight
-    simulation.  ``sim`` selects kernel knobs (e.g. batched decider
-    ticks); it deliberately lives outside :class:`RunSpec` because it
-    must never change what is simulated -- only how.
+    simulation.  ``sim`` overrides ``spec.sim`` (the kernel benchmarks
+    run one spec in both tick modes).
     """
-    engine = Engine(sim=sim)
-    rngs = RngRegistry(seed=spec.seed)
-    extra = extra_nodes(spec.manager)
-    manager = make_manager(
+    engine, cluster, manager = build_universe(
         spec.manager,
-        config=spec.manager_config,
-        recorder=MetricsRecorder(record_caps=spec.record_caps),
+        seed=spec.seed,
+        n_clients=spec.n_clients,
+        budget_w=spec.budget_w,
+        sim=sim if sim is not None else spec.sim,
+        workloads=pair_workloads(spec.pair, spec.n_clients, spec.workload_scale),
+        manager_config=spec.manager_config,
+        record_caps=spec.record_caps,
+        fault_plan=spec.fault_plan,
     )
-    cluster_config = ClusterConfig(
-        n_nodes=spec.n_clients + extra,
-        system_power_budget_w=spec.budget_w * (spec.n_clients + extra) / spec.n_clients,
-    )
-    cluster = Cluster(engine, cluster_config, rngs)
-    assignment = assign_pair_to_cluster(
-        spec.pair,
-        range(spec.n_clients),
-        rng=rngs.stream("workload.jitter"),
-        scale=spec.workload_scale,
-    )
-    cluster.install_assignment(
-        assignment, overhead_factor=manager.config.overhead_factor
-    )
-    manager.install(
-        cluster, client_ids=list(range(spec.n_clients)), budget_w=spec.budget_w
-    )
-    if spec.fault_plan is not None:
-        spec.fault_plan.install(cluster, manager)
+    assert manager is not None
     return engine, cluster, manager
 
 
-def run_single(spec: RunSpec, sim: Optional[SimConfig] = None) -> RunResult:
+def run_single(spec: RunSpec) -> RunResult:
     """Run one experiment to completion and audit it."""
-    engine, cluster, manager = build_run(spec, sim=sim)
+    engine, cluster, manager = build_run(spec)
     manager.start()
     runtime = cluster.run_to_completion(time_limit_s=spec.time_limit_s)
     audit = manager.audit()

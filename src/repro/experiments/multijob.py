@@ -18,13 +18,12 @@ single-job Figure 3 runs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan
 from repro.experiments import serialize
-from repro.experiments.harness import extra_nodes, make_manager
+from repro.experiments.harness import build_universe, extra_nodes
 from repro.experiments.runner import (
     ProgressListener,
     TaskKind,
@@ -33,7 +32,7 @@ from repro.experiments.runner import (
 )
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import ManagerConfig
-from repro.sim.engine import Engine
+from repro.sim.config import SimConfig
 from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
 from repro.workloads.phases import Workload, concatenate
@@ -90,8 +89,11 @@ class MultiJobSpec:
     sequences: Tuple[Tuple[str, ...], ...] = DEFAULT_SEQUENCES
     fault_plan: Optional[FaultPlan] = None
     manager_config: Optional[ManagerConfig] = None
+    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sim", self.sim.resolved())
         if self.n_clients < 1:
             raise ValueError("need at least one client node")
         if self.cap_w_per_socket <= 0:
@@ -102,33 +104,22 @@ class MultiJobSpec:
 
 def run_multijob_spec(spec: MultiJobSpec) -> MultiJobResult:
     """Run the back-to-back schedule described by ``spec``."""
-    engine = Engine()
-    rngs = RngRegistry(seed=spec.seed)
-    extra = extra_nodes(spec.manager)
-    n_clients = spec.n_clients
-    budget = spec.cap_w_per_socket * 2 * n_clients
-    cluster = Cluster(
-        engine,
-        ClusterConfig(
-            n_nodes=n_clients + extra,
-            system_power_budget_w=budget * (n_clients + extra) / n_clients,
+    _, cluster, manager = build_universe(
+        spec.manager,
+        seed=spec.seed,
+        n_clients=spec.n_clients,
+        budget_w=spec.cap_w_per_socket * 2 * spec.n_clients,
+        sim=spec.sim,
+        workloads=lambda rngs: build_sequences(
+            spec.n_clients,
+            sequences=spec.sequences,
+            rngs=rngs,
+            workload_scale=spec.workload_scale,
         ),
-        rngs,
+        manager_config=spec.manager_config,
+        fault_plan=spec.fault_plan,
     )
-    manager = make_manager(spec.manager, config=spec.manager_config)
-    workloads = build_sequences(
-        n_clients,
-        sequences=spec.sequences,
-        rngs=rngs,
-        workload_scale=spec.workload_scale,
-    )
-    for node_id, workload in workloads.items():
-        cluster.node(node_id).assign_workload(
-            workload, overhead_factor=manager.config.overhead_factor
-        )
-    manager.install(cluster, client_ids=list(range(n_clients)), budget_w=budget)
-    if spec.fault_plan is not None:
-        spec.fault_plan.install(cluster)
+    assert manager is not None
     manager.start()
     runtime = cluster.run_to_completion()
     manager.audit().check()

@@ -19,11 +19,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core.config import PenelopeConfig
-from repro.core.manager import PenelopeManager
-from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
+from repro.experiments.harness import build_universe
 from repro.workloads.apps import APP_NAMES, build_app
 
 
@@ -56,23 +53,18 @@ def _single_node_runtime(
     config: Optional[PenelopeConfig] = None,
 ) -> float:
     """One app on one node, with or without the Penelope daemons."""
-    engine = Engine()
-    rngs = RngRegistry(seed=seed)
-    budget = cap_w_per_socket * 2
-    cluster = Cluster(
-        engine,
-        ClusterConfig(n_nodes=1, system_power_budget_w=budget),
-        rngs,
+    _, cluster, manager = build_universe(
+        "penelope" if with_penelope else None,
+        seed=seed,
+        n_clients=1,
+        budget_w=cap_w_per_socket * 2,
+        sim=None,
+        workloads=lambda rngs: {
+            0: build_app(app, rng=rngs.stream("workload.jitter"), scale=workload_scale)
+        },
+        manager_config=config,
     )
-    workload = build_app(app, rng=rngs.stream("workload.jitter"), scale=workload_scale)
-    manager = None
-    overhead = 0.0
-    if with_penelope:
-        manager = PenelopeManager(config=config)
-        overhead = manager.config.overhead_factor
-    cluster.node(0).assign_workload(workload, overhead_factor=overhead)
     if manager is not None:
-        manager.install(cluster, client_ids=[0], budget_w=budget)
         manager.start()
     runtime = cluster.run_to_completion()
     if manager is not None:

@@ -23,13 +23,14 @@ frequency (service time 80-100 microseconds per request, strictly serial).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.analysis.stats import DistributionSummary
 from repro.core.config import PenelopeConfig
 from repro.experiments import serialize
-from repro.experiments.harness import make_manager, needs_server_node
+from repro.experiments.harness import build_universe
 from repro.experiments.runner import (
     ProgressListener,
     TaskKind,
@@ -44,12 +45,9 @@ from repro.experiments.metrics import (
 from repro.instrumentation import MetricsRecorder
 from repro.managers.base import ManagerConfig
 from repro.managers.slurm import SlurmConfig
-from repro.net.network import Network
-from repro.net.topology import LatencyModel, Topology
 from repro.power.domain import SKYLAKE_6126_NODE, PowerDomainSpec
-from repro.power.trace_source import TracePowerSource
-from repro.sim.engine import Engine, run_callable_at
-from repro.sim.rng import RngRegistry
+from repro.sim.config import SimConfig
+from repro.sim.engine import run_callable_at
 from repro.workloads.apps import build_app, get_app_model
 from repro.workloads.phases import concatenate
 from repro.workloads.traces import (
@@ -95,8 +93,11 @@ class ScalingSpec:
     #: server's socket buffer does not grow with the cluster.
     server_inbox_capacity: int = 2048
     manager_config: Optional[ManagerConfig] = None
+    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    sim: SimConfig = field(default_factory=SimConfig)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sim", self.sim.resolved())
         if self.manager not in ("penelope", "slurm"):
             raise ValueError("scaling study compares penelope and slurm")
         if self.n_clients < 4 or self.n_clients % 2:
@@ -177,7 +178,7 @@ def pair_release_traces(
     single = build_app(hungry_app)
     # One extra repetition covers the alignment offset below, so the
     # hungry side computes through the entire window.
-    repeats = 1 + max(1, np_ceil(needed_s / single.total_work_s))
+    repeats = 1 + max(1, math.ceil(needed_s / single.total_work_s))
     hungry_workload = concatenate(
         hungry_app, [build_app(hungry_app) for _ in range(repeats)]
     )
@@ -187,97 +188,6 @@ def pair_release_traces(
         start = (end - release_at_s) % single.total_work_s
         hungry_trace = hungry_trace.window(start, needed_s)
     return donor_trace, hungry_trace
-
-
-def np_ceil(value: float) -> int:
-    """Integer ceiling without importing numpy for one call."""
-    integer = int(value)
-    return integer if integer == value else integer + 1
-
-
-class TraceNode:
-    """A lightweight node for trace playback: just a power source."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        node_id: int,
-        spec: PowerDomainSpec,
-        trace: PowerTrace,
-        initial_cap_w: float,
-    ) -> None:
-        self.engine = engine
-        self.node_id = node_id
-        self.spec = spec
-        self.rapl = TracePowerSource(
-            engine, spec, trace, initial_cap_w=initial_cap_w
-        )
-        self.alive = True
-        self.on_kill: List[Callable[[], None]] = []
-
-    def kill(self) -> None:
-        if not self.alive:
-            return
-        self.alive = False
-        for callback in list(self.on_kill):
-            callback()
-
-
-@dataclass(frozen=True)
-class _MiniConfig:
-    """The slice of ClusterConfig the managers actually need."""
-
-    spec: PowerDomainSpec
-    n_nodes: int
-
-
-class ScalingCluster:
-    """Duck-typed stand-in for :class:`~repro.cluster.cluster.Cluster`
-    hosting :class:`TraceNode` instances (the paper's profile-playback
-    simulation mode)."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        spec: PowerDomainSpec,
-        traces: Dict[int, PowerTrace],
-        n_nodes: int,
-        initial_cap_w: float,
-        rngs: RngRegistry,
-        latency: Optional[LatencyModel] = None,
-    ) -> None:
-        self.engine = engine
-        self.config = _MiniConfig(spec=spec, n_nodes=n_nodes)
-        self.rngs = rngs
-        self.topology = Topology(n_nodes, latency=latency or LatencyModel())
-        self.network = Network(engine, self.topology, rngs.stream("net.latency"))
-        self.nodes: Dict[int, TraceNode] = {
-            node_id: TraceNode(engine, node_id, spec, trace, initial_cap_w)
-            for node_id, trace in traces.items()
-        }
-
-    @property
-    def node_ids(self) -> range:
-        return range(self.config.n_nodes)
-
-    def node(self, node_id: int) -> TraceNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            # Server nodes have no profile; give them an idle trace lazily.
-            node = TraceNode(
-                self.engine,
-                node_id,
-                self.config.spec,
-                constant_trace(self.config.spec.idle_w),
-                self.config.spec.max_cap_w,
-            )
-            self.nodes[node_id] = node
-            return node
-
-    def kill_node(self, node_id: int) -> None:
-        self.node(node_id).kill()
-        self.network.mark_dead(node_id)
 
 
 @dataclass
@@ -305,8 +215,6 @@ class ScalingResult:
 
 def run_scaling_point(spec: ScalingSpec) -> ScalingResult:
     """Simulate one (manager, scale, frequency) point of §4.5."""
-    engine = Engine()
-    rngs = RngRegistry(seed=spec.seed)
     node_spec = spec.spec
     cap_w = spec.cap_w_per_socket * node_spec.sockets
 
@@ -331,24 +239,20 @@ def run_scaling_point(spec: ScalingSpec) -> ScalingResult:
                 spec.hungry_demand_w_per_socket * node_spec.sockets
             )
 
-    n_nodes = spec.n_clients + (1 if needs_server_node(spec.manager) else 0)
-    cluster = ScalingCluster(
-        engine,
-        node_spec,
-        traces,
-        n_nodes=n_nodes,
-        initial_cap_w=cap_w,
-        rngs=rngs,
-    )
     # Cap samples feed the redistribution metric (net power absorbed by
     # hungry nodes), so they must be recorded.
-    manager = make_manager(
+    engine, cluster, manager = build_universe(
         spec.manager,
-        config=spec.build_manager_config(),
-        recorder=MetricsRecorder(record_caps=True),
+        seed=spec.seed,
+        n_clients=spec.n_clients,
+        budget_w=cap_w * spec.n_clients,
+        sim=spec.sim,
+        traces=traces,
+        node_spec=node_spec,
+        manager_config=spec.build_manager_config(),
+        record_caps=True,
     )
-    budget_w = cap_w * spec.n_clients
-    manager.install(cluster, client_ids=list(range(spec.n_clients)), budget_w=budget_w)
+    assert manager is not None
     manager.start()
 
     # Snapshot the movable power at the instant the donors finish:
@@ -444,6 +348,20 @@ SCALING_RUN = TaskKind(
 )
 
 
+K = TypeVar("K")
+
+
+def _sweep(
+    points: Sequence[ScalingSpec], keys: Sequence[K], context: str, **options: Any
+) -> Dict[K, ScalingResult]:
+    """Run ``points`` as one sweep (``options`` go to the runner) and key
+    the results by ``keys``; any failed point raises."""
+    runs = raise_on_failures(
+        run_sweep(points, kind=SCALING_RUN, **options), context=context
+    )
+    return dict(zip(keys, runs))
+
+
 def sweep_frequency(
     frequencies_hz: Sequence[float] = PAPER_FREQUENCIES_HZ,
     n_clients: int = 1056,
@@ -482,19 +400,10 @@ def sweep_frequency(
                 )
             )
             keys.append((manager, freq))
-    runs = raise_on_failures(
-        run_sweep(
-            points,
-            kind=SCALING_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
-        context="frequency sweep",
+    return _sweep(
+        points, keys, "frequency sweep", jobs=jobs, cache_dir=cache_dir,
+        use_cache=use_cache, progress=progress, **runner_kwargs,
     )
-    return dict(zip(keys, runs))
 
 
 def sweep_pairs(
@@ -537,19 +446,10 @@ def sweep_pairs(
                 )
             )
             keys.append((manager, pair))
-    runs = raise_on_failures(
-        run_sweep(
-            points,
-            kind=SCALING_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
-        context="pair sweep",
+    return _sweep(
+        points, keys, "pair sweep", jobs=jobs, cache_dir=cache_dir,
+        use_cache=use_cache, progress=progress, **runner_kwargs,
     )
-    return dict(zip(keys, runs))
 
 
 def sweep_scale(
@@ -582,16 +482,7 @@ def sweep_scale(
                 )
             )
             keys.append((manager, scale))
-    runs = raise_on_failures(
-        run_sweep(
-            points,
-            kind=SCALING_RUN,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            use_cache=use_cache,
-            progress=progress,
-            **runner_kwargs,
-        ),
-        context="scale sweep",
+    return _sweep(
+        points, keys, "scale sweep", jobs=jobs, cache_dir=cache_dir,
+        use_cache=use_cache, progress=progress, **runner_kwargs,
     )
-    return dict(zip(keys, runs))

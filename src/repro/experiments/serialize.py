@@ -68,6 +68,7 @@ from repro.net.messages import (
     PowerRequest,
     ReleaseDirective,
 )
+from repro.sim.config import SimConfig
 
 T = TypeVar("T")
 
@@ -130,6 +131,11 @@ class Compat:
     #: Fields added after caches and fixtures were pinned: omitted while
     #: they hold their default, so older canonical JSON is unchanged.
     late: Tuple[str, ...] = ()
+    #: Late fields omitted while they hold the value given here instead
+    #: of their default; an absent key decodes to that value, not to the
+    #: default.  For defaults that depend on the environment, which must
+    #: never decide what a cache key leaves out.
+    late_values: Tuple[Tuple[str, Any], ...] = ()
     #: Float fields whose ``NaN`` is written as ``null`` (strict JSON has
     #: no ``NaN``).  Other floats keep their historical bytes.
     nan_as_null: Tuple[str, ...] = ()
@@ -148,6 +154,11 @@ def _split_dropped_dead(data: Dict[str, Any]) -> Dict[str, Any]:
     upgraded["dropped_dead_src"] = upgraded.pop("dropped_dead")
     return upgraded
 
+
+#: The tick mode every spec recorded before specs carried one.  Specs
+#: resolve an absent ``sim`` from ``REPRO_BATCHED_TICKS``, so the
+#: omitted value is pinned here, never taken from the field default.
+_PER_NODE_SIM = (("sim", SimConfig(batched_ticks=False)),)
 
 #: Every byte-compatibility rule of the codec, keyed by class name (the
 #: classes live in layers that import this module).  A class inherits
@@ -168,6 +179,10 @@ COMPAT: Dict[str, Compat] = {
         late=("duplicated", "reordered", "duplicated_by_kind", "reordered_by_kind"),
         upgrade=_split_dropped_dead,
     ),
+    "RunSpec": Compat(late_values=_PER_NODE_SIM),
+    "ScalingSpec": Compat(late_values=_PER_NODE_SIM),
+    "MultiJobSpec": Compat(late_values=_PER_NODE_SIM),
+    "AllocationSpec": Compat(late_values=_PER_NODE_SIM),
     "ChaosSpec": Compat(
         late=(
             "duplicate_bursts",
@@ -178,7 +193,8 @@ COMPAT: Dict[str, Compat] = {
             "reorder_window_s",
             "max_drift_rate",
             "slow_factor",
-        )
+        ),
+        late_values=_PER_NODE_SIM,
     ),
     "ChaosResult": Compat(late=("violations",)),
 }
@@ -252,6 +268,7 @@ def _fields_encoder(cls: Any) -> Callable[[Any], Any]:
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     late = {f.name: _default(f) for f in fields if f.name in compat.late}
+    late.update(compat.late_values)
     nan_as_null = compat.nan_as_null
     registry = _registry(cls)
     if registry is not None and registry.get(cls.__name__) is not cls:
@@ -366,13 +383,18 @@ def _fields_decoder(cls: Any) -> Decoder:
         for f in dataclasses.fields(cls)
     }
     upgrade = compat.upgrade
+    late_values = compat.late_values
 
     def decoder(data: Any) -> Any:
         if upgrade is not None:
             data = upgrade(data)
-        # Absent keys fall to the field default; an unknown key reaches
-        # the constructor, which rejects it with a TypeError.
-        return cls(**{key: fields.get(key, _same)(value) for key, value in data.items()})
+        # Absent keys fall to the field default (or the pinned late
+        # value); an unknown key reaches the constructor, which rejects
+        # it with a TypeError.
+        values = {key: fields.get(key, _same)(value) for key, value in data.items()}
+        for name, value in late_values:
+            values.setdefault(name, value)
+        return cls(**values)
 
     return decoder
 

@@ -11,7 +11,7 @@ see ``tests/test_sim_batched_equivalence.py``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.sim.schedulers import HeapScheduler
@@ -77,3 +77,13 @@ class SimConfig:
         if self.batched_ticks is not None:
             return self.batched_ticks
         return default_batched_ticks()
+
+    def resolved(self) -> "SimConfig":
+        """This config with ``batched_ticks`` made concrete.
+
+        Experiment specs resolve their ``sim`` once, at construction, so
+        the tick mode a run uses is the one its cache key records.
+        """
+        if self.batched_ticks is not None:
+            return self
+        return replace(self, batched_ticks=default_batched_ticks())

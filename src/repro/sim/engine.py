@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Any, Callable, Generator, Optional, Union
 
-from repro.sim.config import DEFAULT_TICK_SLOTS, SimConfig, default_batched_ticks
+from repro.sim.config import SimConfig
 from repro.sim.events import (
     PRIORITY_NORMAL,
     Callback,
@@ -82,12 +82,9 @@ class Engine:
         #: Kernel execution-mode flags, read by agent builders (the
         #: Penelope manager checks them to decide whether to drive its
         #: deciders through a :class:`~repro.core.batcher.TickBatcher`).
-        if sim is not None:
-            self.batched_ticks = sim.effective_batched_ticks()
-            self.tick_slots = sim.tick_slots
-        else:
-            self.batched_ticks = default_batched_ticks()
-            self.tick_slots = DEFAULT_TICK_SLOTS
+        sim = sim if sim is not None else SimConfig()
+        self.batched_ticks = sim.effective_batched_ticks()
+        self.tick_slots = sim.tick_slots
         #: Pre-bound enqueue -- the hottest call in the simulator; event
         #: constructors invoke it directly.
         self._push = self._scheduler.push

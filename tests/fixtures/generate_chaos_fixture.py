@@ -23,11 +23,14 @@ import sys
 
 from repro.experiments.chaos import ChaosSpec, run_chaos_single
 from repro.experiments.serialize import canonical_json, encode
+from repro.sim.config import SimConfig
 
 FIXTURE_DIR = pathlib.Path(__file__).parent
 
 #: Matches the SMOKE spec in tests/test_experiments_chaos.py: small
-#: enough to run in ~a second, chaotic enough to cancel events.
+#: enough to run in ~a second, chaotic enough to cancel events.  The
+#: tick mode is pinned: the bytes encode the staggered per-node
+#: trajectory, which the batcher only approximates.
 CHAOS_FIXTURE_SPEC = ChaosSpec(
     n_clients=4,
     seed=3,
@@ -37,6 +40,7 @@ CHAOS_FIXTURE_SPEC = ChaosSpec(
     flaps=1,
     bursts=1,
     burst_loss=0.05,
+    sim=SimConfig(batched_ticks=False),
 )
 
 CHAOS_FIXTURE_NAME = "chaos_smoke"

@@ -62,6 +62,7 @@ from repro.net.messages import (
 )
 from repro.net.network import NetworkStats
 from repro.power.domain import PowerDomainSpec
+from repro.sim.config import SimConfig
 
 FIXTURE = pathlib.Path(__file__).parent / "codec_golden.json"
 
@@ -140,7 +141,13 @@ PENELOPE = PenelopeConfig(
 SLURM = SlurmConfig(rate=0.2, server_service_time_s=(90e-6, 110e-6))
 HA_SLURM = HaSlurmConfig(failover_after_timeouts=5, stagger_window_s=0.01)
 
-SINGLE_DEFAULTS = RunSpec(manager="fair", pair=("EP", "DC"), cap_w_per_socket=70.0)
+#: Every spec pins the per-node tick mode, which the codec omits: the
+#: corpus holds whatever ``REPRO_BATCHED_TICKS`` says.
+PER_NODE = SimConfig(batched_ticks=False)
+
+SINGLE_DEFAULTS = RunSpec(
+    manager="fair", pair=("EP", "DC"), cap_w_per_socket=70.0, sim=PER_NODE
+)
 SINGLE_FULL = RunSpec(
     manager="penelope",
     pair=("MG", "EP"),
@@ -152,8 +159,9 @@ SINGLE_FULL = RunSpec(
     fault_plan=full_fault_plan(),
     record_caps=True,
     time_limit_s=500.0,
+    sim=PER_NODE,
 )
-SCALING_DEFAULTS = ScalingSpec(manager="slurm")
+SCALING_DEFAULTS = ScalingSpec(manager="slurm", sim=PER_NODE)
 SCALING_FULL = ScalingSpec(
     manager="penelope",
     n_clients=64,
@@ -174,8 +182,9 @@ SCALING_FULL = ScalingSpec(
     stagger_window_s=0.5,
     server_inbox_capacity=64,
     manager_config=PENELOPE,
+    sim=PER_NODE,
 )
-MULTIJOB_DEFAULTS = MultiJobSpec(manager="penelope")
+MULTIJOB_DEFAULTS = MultiJobSpec(manager="penelope", sim=PER_NODE)
 MULTIJOB_FULL = MultiJobSpec(
     manager="slurm",
     n_clients=6,
@@ -185,8 +194,9 @@ MULTIJOB_FULL = MultiJobSpec(
     sequences=(("EP", "DC"), ("MG",)),
     fault_plan=FaultPlan().kill(0, 1.0).loss_burst(0.1, 2.0, 1.0),
     manager_config=HA_SLURM,
+    sim=PER_NODE,
 )
-ALLOCATION_DEFAULTS = AllocationSpec(manager="fair")
+ALLOCATION_DEFAULTS = AllocationSpec(manager="fair", sim=PER_NODE)
 ALLOCATION_FULL = AllocationSpec(
     manager="slurm",
     pair=("LU", "SP"),
@@ -197,8 +207,9 @@ ALLOCATION_FULL = AllocationSpec(
     observe_s=12.0,
     sample_every_s=0.5,
     manager_config=SLURM,
+    sim=PER_NODE,
 )
-CHAOS_DEFAULTS = ChaosSpec()
+CHAOS_DEFAULTS = ChaosSpec(sim=PER_NODE)
 CHAOS_FULL = ChaosSpec(
     n_clients=6,
     pair=("CG", "FT"),
@@ -226,6 +237,7 @@ CHAOS_FULL = ChaosSpec(
     reorder_window_s=0.1,
     max_drift_rate=0.02,
     slow_factor=4.0,
+    sim=PER_NODE,
 )
 
 #: ``(entry name, task kind, spec)`` for every fingerprinted spec.

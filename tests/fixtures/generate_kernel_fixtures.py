@@ -33,8 +33,13 @@ import sys
 
 from repro.experiments.harness import RunSpec, run_single
 from repro.experiments.serialize import canonical_json, encode
+from repro.sim.config import SimConfig
 
 FIXTURE_DIR = pathlib.Path(__file__).parent
+
+#: The fixtures encode the staggered per-node trajectory, which the
+#: batcher only approximates, so every spec pins it.
+SIM = SimConfig(batched_ticks=False)
 
 #: name -> spec.  Small enough to run in seconds, varied enough to cover
 #: the peer-to-peer (penelope), centralized (slurm) and static (fair)
@@ -48,6 +53,7 @@ FIXTURE_SPECS = {
         seed=7,
         workload_scale=0.1,
         record_caps=True,
+        sim=SIM,
     ),
     "kernel_nominal_slurm": RunSpec(
         "slurm",
@@ -56,6 +62,7 @@ FIXTURE_SPECS = {
         n_clients=4,
         seed=11,
         workload_scale=0.1,
+        sim=SIM,
     ),
     "kernel_nominal_fair": RunSpec(
         "fair",
@@ -64,6 +71,7 @@ FIXTURE_SPECS = {
         n_clients=4,
         seed=3,
         workload_scale=0.1,
+        sim=SIM,
     ),
 }
 

@@ -56,23 +56,23 @@ _SATURATED = dict(
 FIXTURE_SPECS: Dict[str, RunSpec] = {
     "slurm_seed0": RunSpec(
         "slurm", ("EP", "DC"), 80.0, n_clients=N_CLIENTS, seed=0,
-        manager_config=SlurmConfig(**_SATURATED),
+        manager_config=SlurmConfig(**_SATURATED), sim=SIM,
     ),
     "slurm_seed1": RunSpec(
         "slurm", ("CG", "LU"), 80.0, n_clients=N_CLIENTS, seed=1,
-        manager_config=SlurmConfig(**_SATURATED),
+        manager_config=SlurmConfig(**_SATURATED), sim=SIM,
     ),
     "slurm_ha_primary_kill": RunSpec(
         "slurm-ha", ("EP", "DC"), 80.0, n_clients=N_CLIENTS, seed=2,
         manager_config=HaSlurmConfig(**_SATURATED),
-        fault_plan=FaultPlan().kill(N_CLIENTS, 2.0),
+        fault_plan=FaultPlan().kill(N_CLIENTS, 2.0), sim=SIM,
     ),
 }
 
 
 def trajectory(spec: RunSpec) -> Dict[str, Any]:
     """Drive ``spec`` for :data:`HORIZON_S` and record its trajectory."""
-    engine, cluster, manager = build_run(spec, sim=SIM)
+    engine, cluster, manager = build_run(spec)
     manager.start()
     cluster.start_workloads()
     engine.run(until=HORIZON_S)

@@ -36,6 +36,55 @@ class TestConfig:
             ClusterConfig(system_power_budget_w=0.0)
 
 
+class TestTraceNodes:
+    """A cluster built from power traces hosts trace-playback nodes."""
+
+    def make_trace_cluster(self, n_nodes=2):
+        from repro.workloads.traces import constant_trace
+
+        engine = Engine()
+        config = ClusterConfig(n_nodes=n_nodes, system_power_budget_w=n_nodes * 140.0)
+        rngs = RngRegistry(seed=0)
+        cluster = Cluster(engine, config, rngs, traces={0: constant_trace(100.0)})
+        return cluster, rngs
+
+    def test_untraced_server_node_idles(self):
+        from repro.cluster.node import TraceNode
+        from repro.power.domain import SKYLAKE_6126_NODE
+
+        cluster, rngs = self.make_trace_cluster()
+        assert all(isinstance(node, TraceNode) for node in cluster.nodes)
+        assert cluster.node(0).rapl.demand_now_w == 100.0
+        server_node = cluster.node(1)  # never given a trace
+        assert server_node.rapl.demand_now_w == SKYLAKE_6126_NODE.idle_w
+        assert cluster.compute_nodes() == []
+        # Trace playback draws no per-node RAPL stream.
+        assert not any(name.startswith("node.") for name in rngs._streams)
+
+    def test_kill_node_marks_network(self):
+        cluster, _ = self.make_trace_cluster(n_nodes=1)
+        cluster.kill_node(0)
+        assert not cluster.node(0).alive
+        assert cluster.network.is_dead(0)
+
+    def test_revive_node_rejoins(self):
+        cluster, _ = self.make_trace_cluster()
+        called = []
+        cluster.node(1).on_kill.append(lambda: called.append(True))
+        cluster.kill_node(1)
+        cluster.revive_node(1)
+        assert called == [True]
+        assert cluster.node(1).alive and cluster.node(1).on_kill == []
+        assert not cluster.network.is_dead(1)
+
+    def test_trace_nodes_run_no_workload(self):
+        from repro.workloads.apps import build_app
+
+        cluster, _ = self.make_trace_cluster()
+        with pytest.raises(RuntimeError):
+            cluster.install_assignment({0: build_app("EP")})
+
+
 class TestConstruction:
     def test_nodes_created_with_fair_caps(self):
         _, cluster = make_cluster(n=4, cap_per_socket=80.0)

@@ -9,6 +9,7 @@ the CI chaos-smoke job.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,6 @@ from repro.experiments.chaos import (
     run_chaos_sweep,
 )
 from repro.experiments.serialize import canonical_json, decode, encode
-from repro.sim.config import SimConfig
 
 SMOKE = ChaosSpec(
     n_clients=4,
@@ -261,11 +261,9 @@ class TestPinnedChaosDeterminism:
         assert spec_module is not None and spec_module.loader is not None
         module = importlib.util.module_from_spec(spec_module)
         spec_module.loader.exec_module(module)
-        assert module.CHAOS_FIXTURE_SPEC == SMOKE
+        assert replace(module.CHAOS_FIXTURE_SPEC, sim=SMOKE.sim) == SMOKE
         expected = (fixtures / f"{module.CHAOS_FIXTURE_NAME}.json").read_text()
-        data = encode(
-            run_chaos_single(SMOKE, sim=SimConfig(batched_ticks=False))
-        )
+        data = encode(run_chaos_single(module.CHAOS_FIXTURE_SPEC))
         assert canonical_json(data) + "\n" == expected
 
 

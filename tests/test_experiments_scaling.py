@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.node import TraceNode
 from repro.experiments.scaling import (
     ScalingSpec,
-    TraceNode,
     run_scaling_point,
     sweep_frequency,
     sweep_scale,

@@ -39,6 +39,7 @@ from repro.net.messages import (
     ReleaseDirective,
 )
 from repro.net.network import NetworkStats
+from repro.sim.config import SimConfig
 
 
 def json_round_trip(data):
@@ -399,7 +400,10 @@ class TestCompatTable:
 
     @staticmethod
     def _classes():
+        from repro.experiments.allocation import AllocationSpec
         from repro.experiments.chaos import ChaosResult, ChaosSpec
+        from repro.experiments.multijob import MultiJobSpec
+        from repro.experiments.scaling import ScalingSpec
         from repro.instrumentation import (
             CapSample,
             LedgerSample,
@@ -419,6 +423,10 @@ class TestCompatTable:
                 Message,
                 FaultPlan,
                 NetworkStats,
+                RunSpec,
+                ScalingSpec,
+                MultiJobSpec,
+                AllocationSpec,
                 ChaosSpec,
                 ChaosResult,
             )
@@ -439,13 +447,19 @@ class TestCompatTable:
                     field.default is not dataclasses.MISSING
                     or field.default_factory is not dataclasses.MISSING
                 ), (name, field_name)
+            for field_name, _ in compat.late_values:
+                assert field_name in fields, (name, field_name)
             for field_name in compat.nan_as_null:
                 assert field_name in fields
 
     def test_absent_keys_decode_to_field_defaults(self):
         from repro.experiments.chaos import ChaosSpec
 
-        assert serialize.decode(ChaosSpec, {}) == ChaosSpec()
+        # Except the tick mode: absent means the per-node mode every spec
+        # recorded before specs carried one, whatever the environment.
+        assert serialize.decode(ChaosSpec, {}) == ChaosSpec(
+            sim=SimConfig(batched_ticks=False)
+        )
         assert serialize.decode(NetworkStats, {}) == NetworkStats()
         assert serialize.decode(FaultPlan, {}) == FaultPlan()
 

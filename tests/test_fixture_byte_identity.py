@@ -18,6 +18,7 @@ claim, in three layers:
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -60,18 +61,14 @@ class TestPinnedFixturesWithKnobsAtDefaults:
         module = _load_module("generate_kernel_fixtures")
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()
-        data = encode(run_single(spec, sim=SimConfig(batched_ticks=False)))
+        data = encode(run_single(spec))
         data["network"] = module._upgrade_network_dict(dict(data["network"]))
         assert canonical_json(data) + "\n" == expected
 
     def test_chaos_fixture_bytes(self):
         module = _load_module("generate_chaos_fixture")
         expected = (FIXTURES / f"{module.CHAOS_FIXTURE_NAME}.json").read_text()
-        data = encode(
-            run_chaos_single(
-                module.CHAOS_FIXTURE_SPEC, sim=SimConfig(batched_ticks=False)
-            )
-        )
+        data = encode(run_chaos_single(module.CHAOS_FIXTURE_SPEC))
         assert canonical_json(data) + "\n" == expected
 
 
@@ -101,14 +98,14 @@ class TestInertKnobsAreBitwiseNoOps:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_trajectory_identical(self, batched):
-        sim = SimConfig(batched_ticks=batched)
-        base = run_chaos_single(_QUIET, sim=sim, plan=FaultPlan())
+        quiet = replace(_QUIET, sim=SimConfig(batched_ticks=batched))
+        base = run_chaos_single(quiet, plan=FaultPlan())
         noop_plan = (
             FaultPlan()
             .clock_drift(1, 0.0, at_time_s=4.321)
             .slow_node(2, 1.0, at_time_s=3.789, duration_s=2.0)
         )
-        noop = run_chaos_single(_QUIET, sim=sim, plan=noop_plan)
+        noop = run_chaos_single(quiet, plan=noop_plan)
 
         assert noop.final == base.final
         assert noop.network == base.network

@@ -38,42 +38,6 @@ class TestClusterViews:
         assert "SimNode 2" in text and "alive" in text
 
 
-class TestScalingClusterLazyServer:
-    def test_server_node_materializes_on_demand(self):
-        from repro.experiments.scaling import ScalingCluster
-        from repro.workloads.traces import constant_trace
-
-        engine = Engine()
-        cluster = ScalingCluster(
-            engine,
-            SKYLAKE_6126_NODE,
-            {0: constant_trace(100.0)},
-            n_nodes=2,
-            initial_cap_w=140.0,
-            rngs=RngRegistry(seed=0),
-        )
-        server_node = cluster.node(1)  # never given a trace
-        assert server_node.rapl.demand_now_w == SKYLAKE_6126_NODE.idle_w
-        assert cluster.node(1) is server_node  # cached
-
-    def test_kill_node_marks_network(self):
-        from repro.experiments.scaling import ScalingCluster
-        from repro.workloads.traces import constant_trace
-
-        engine = Engine()
-        cluster = ScalingCluster(
-            engine,
-            SKYLAKE_6126_NODE,
-            {0: constant_trace(100.0)},
-            n_nodes=1,
-            initial_cap_w=140.0,
-            rngs=RngRegistry(seed=0),
-        )
-        cluster.kill_node(0)
-        assert not cluster.node(0).alive
-        assert cluster.network.is_dead(0)
-
-
 class TestMergeRecorders:
     def test_turnarounds_and_caps_sorted(self):
         a, b = MetricsRecorder(), MetricsRecorder()

@@ -20,6 +20,7 @@ contract).
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -84,8 +85,10 @@ _SCENARIOS = {
 
 
 def _scenario_bytes(spec: RunSpec, batched: bool) -> str:
-    sim = SimConfig(batched_ticks=batched)
-    return canonical_json(encode(run_single(spec, sim=sim)))
+    # The result carries its spec, whose tick mode differs by design;
+    # every other byte must match.
+    result = run_single(replace(spec, sim=SimConfig(batched_ticks=batched)))
+    return canonical_json(encode(replace(result, spec=spec)))
 
 
 class TestBatchedDifferential:
@@ -168,10 +171,9 @@ class TestBatcherGating:
         spec = RunSpec(
             "penelope", ("EP", "DC"), 70.0, n_clients=4, seed=7,
             workload_scale=0.1,
+            sim=SimConfig(batched_ticks=True, tick_slots=4),
         )
-        result = run_single(
-            spec, sim=SimConfig(batched_ticks=True, tick_slots=4)
-        )
+        result = run_single(spec)
         assert result.runtime_s > 0
 
 
@@ -197,8 +199,6 @@ class TestPinnedFixturesStayOff:
         spec_module.loader.exec_module(module)
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()
-        data = encode(
-            run_single(spec, sim=SimConfig(batched_ticks=False))
-        )
+        data = encode(run_single(spec))
         data["network"] = module._upgrade_network_dict(dict(data["network"]))
         assert canonical_json(data) + "\n" == expected

@@ -28,7 +28,6 @@ from repro.cli import main as cli_main
 from repro.experiments import bench as kernel_bench
 from repro.experiments.harness import run_single
 from repro.experiments.serialize import canonical_json, encode
-from repro.sim.config import SimConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -174,6 +173,6 @@ class TestPinnedTrajectoryDeterminism:
         module = _fixture_module()
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()
-        data = encode(run_single(spec, sim=SimConfig(batched_ticks=False)))
+        data = encode(run_single(spec))
         data["network"] = module._upgrade_network_dict(dict(data["network"]))
         assert canonical_json(data) + "\n" == expected
