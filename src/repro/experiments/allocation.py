@@ -16,7 +16,7 @@ yardstick for everyone else:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,7 +89,7 @@ class AllocationSpec:
     sample_every_s: float = 1.0
     manager_config: Optional[ManagerConfig] = None
     #: Kernel knobs; the ambient tick mode is resolved at construction.
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sim", self.sim.resolved())

@@ -108,7 +108,7 @@ class ChaosSpec:
     max_drift_rate: float = 0.05
     slow_factor: float = 8.0
     #: Kernel knobs; the ambient tick mode is resolved at construction.
-    sim: SimConfig = dataclasses.field(default_factory=SimConfig)
+    sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sim", self.sim.resolved())

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.experiments.harness import build_universe, extra_nodes
-from repro.sim.rng import RngRegistry
 from repro.workloads.apps import build_app
-from repro.workloads.phases import Workload
 
 
 @dataclass(frozen=True)
@@ -67,21 +65,16 @@ def run_hardware_efficiency(
     n_clients = total_nodes - withheld
     if n_clients < 2:
         raise ValueError("not enough hardware left to compute on")
-
-    def workloads(rngs: RngRegistry) -> Dict[int, Workload]:
-        jitter = rngs.stream("workload.jitter")
-        return {
-            node_id: build_app(app, rng=jitter, scale=workload_scale)
-            for node_id in range(n_clients)
-        }
-
     _, cluster, manager = build_universe(
         manager_name,
         seed=seed,
         n_clients=n_clients,
         budget_w=budget_w,
         sim=None,
-        workloads=workloads,
+        workloads=lambda rngs: {
+            node_id: build_app(app, rng=rngs.stream("workload.jitter"), scale=workload_scale)
+            for node_id in range(n_clients)
+        },
     )
     assert manager is not None
     work_total = sum(

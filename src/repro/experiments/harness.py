@@ -58,6 +58,16 @@ def expected_config_type(name: str) -> type:
     return MANAGER_FACTORIES[name][2]
 
 
+def check_manager_config(name: str, config: Optional[ManagerConfig]) -> None:
+    """Reject a config that is not of (a subclass of) the type ``name``'s
+    factory expects; ``None`` always passes."""
+    config_type = expected_config_type(name)
+    if config is not None and not isinstance(config, config_type):
+        raise TypeError(
+            f"{name} requires a {config_type.__name__}, got {type(config).__name__}"
+        )
+
+
 def make_manager(
     name: str,
     config: Optional[ManagerConfig] = None,
@@ -72,18 +82,14 @@ def make_manager(
     anything else is a :class:`TypeError`.
     """
     try:
-        factory, _, config_type = MANAGER_FACTORIES[name]
+        factory = MANAGER_FACTORIES[name][0]
     except KeyError:
         raise KeyError(
             f"unknown manager {name!r}; choose from {sorted(MANAGER_FACTORIES)}"
         ) from None
+    check_manager_config(name, config)
     if config is None:
         return factory(recorder=recorder)
-    if not isinstance(config, config_type):
-        raise TypeError(
-            f"{name} requires a {config_type.__name__}, "
-            f"got {type(config).__name__}"
-        )
     return factory(config=config, recorder=recorder)
 
 
@@ -112,7 +118,7 @@ class RunSpec:
     record_caps: bool = False
     time_limit_s: float = 1e6
     #: Kernel knobs; the ambient tick mode is resolved at construction.
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sim", self.sim.resolved())
@@ -122,13 +128,7 @@ class RunSpec:
             raise ValueError("need at least two client nodes for a pair")
         if self.cap_w_per_socket <= 0:
             raise ValueError("cap must be positive")
-        if self.manager_config is not None:
-            config_type = expected_config_type(self.manager)
-            if not isinstance(self.manager_config, config_type):
-                raise TypeError(
-                    f"{self.manager} requires a {config_type.__name__}, "
-                    f"got {type(self.manager_config).__name__}"
-                )
+        check_manager_config(self.manager, self.manager_config)
 
     @property
     def budget_w(self) -> float:
@@ -193,16 +193,13 @@ def build_universe(
     """
     engine = Engine(sim=sim)
     rngs = RngRegistry(seed=seed)
-    extra = extra_nodes(manager) if manager is not None else 0
-    power_manager = (
-        make_manager(
-            manager,
-            config=manager_config,
-            recorder=MetricsRecorder(record_caps=record_caps),
+    power_manager = None
+    extra = 0
+    if manager is not None:
+        power_manager = make_manager(
+            manager, config=manager_config, recorder=MetricsRecorder(record_caps=record_caps)
         )
-        if manager is not None
-        else None
-    )
+        extra = extra_nodes(manager)
     cluster_config = ClusterConfig(
         n_nodes=n_clients + extra,
         spec=node_spec,

@@ -18,7 +18,7 @@ single-job Figure 3 runs.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.faults import FaultPlan
@@ -90,7 +90,7 @@ class MultiJobSpec:
     fault_plan: Optional[FaultPlan] = None
     manager_config: Optional[ManagerConfig] = None
     #: Kernel knobs; the ambient tick mode is resolved at construction.
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sim", self.sim.resolved())

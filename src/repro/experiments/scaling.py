@@ -94,7 +94,7 @@ class ScalingSpec:
     server_inbox_capacity: int = 2048
     manager_config: Optional[ManagerConfig] = None
     #: Kernel knobs; the ambient tick mode is resolved at construction.
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sim", self.sim.resolved())
@@ -218,26 +218,22 @@ def run_scaling_point(spec: ScalingSpec) -> ScalingResult:
     node_spec = spec.spec
     cap_w = spec.cap_w_per_socket * node_spec.sockets
 
-    traces: Dict[int, PowerTrace] = {}
     if spec.pair is not None:
         donor_trace, hungry_trace = pair_release_traces(
             spec.pair, node_spec, spec.release_at_s, spec.observe_for_s
         )
-        for node_id in spec.donor_ids:
-            traces[node_id] = donor_trace
-        for node_id in spec.hungry_ids:
-            traces[node_id] = hungry_trace
     else:
-        for node_id in spec.donor_ids:
-            traces[node_id] = step_release_trace(
-                busy_w=spec.donor_demand_w_per_socket * node_spec.sockets,
-                finish_at_s=spec.release_at_s,
-                idle_w=node_spec.idle_w,
-            )
-        for node_id in spec.hungry_ids:
-            traces[node_id] = constant_trace(
-                spec.hungry_demand_w_per_socket * node_spec.sockets
-            )
+        donor_trace = step_release_trace(
+            busy_w=spec.donor_demand_w_per_socket * node_spec.sockets,
+            finish_at_s=spec.release_at_s,
+            idle_w=node_spec.idle_w,
+        )
+        hungry_trace = constant_trace(
+            spec.hungry_demand_w_per_socket * node_spec.sockets
+        )
+    # Traces are immutable, so one instance serves every node of a side.
+    traces = {node_id: donor_trace for node_id in spec.donor_ids}
+    traces.update({node_id: hungry_trace for node_id in spec.hungry_ids})
 
     # Cap samples feed the redistribution metric (net power absorbed by
     # hungry nodes), so they must be recorded.
@@ -311,7 +307,6 @@ def run_scaling_point(spec: ScalingSpec) -> ScalingResult:
     if total_capped:
         total = spec.observe_for_s
 
-    server_served = 0
     if spec.manager == "slurm":
         server_served = manager.server.server.requests_served  # type: ignore[union-attr]
     else:

@@ -11,7 +11,7 @@ see ``tests/test_sim_batched_equivalence.py``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.schedulers import HeapScheduler
@@ -74,9 +74,7 @@ class SimConfig:
 
     def effective_batched_ticks(self) -> bool:
         """The batched-ticks setting actually used (env-resolved)."""
-        if self.batched_ticks is not None:
-            return self.batched_ticks
-        return default_batched_ticks()
+        return bool(self.resolved().batched_ticks)
 
     def resolved(self) -> "SimConfig":
         """This config with ``batched_ticks`` made concrete.
@@ -86,4 +84,8 @@ class SimConfig:
         """
         if self.batched_ticks is not None:
             return self
-        return replace(self, batched_ticks=default_batched_ticks())
+        return SimConfig(
+            scheduler=self.scheduler,
+            batched_ticks=default_batched_ticks(),
+            tick_slots=self.tick_slots,
+        )
