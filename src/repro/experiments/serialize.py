@@ -20,9 +20,9 @@ class):
 * a key absent from the input decodes to the field's default.
 
 Every departure from that plain shape -- flat rows, fields added after
-caches were written, legacy keys, ``NaN`` as ``null`` -- is declared in
-the one :data:`COMPAT` table, because each one is pinned by existing
-cache files, fixtures and sha256 cache keys.
+caches were written, legacy keys -- is declared in the one
+:data:`COMPAT` table, because each one is pinned by existing cache
+files, fixtures and sha256 cache keys.
 
 Python floats survive a JSON round-trip exactly (``json`` emits the
 shortest repr that parses back to the same float), so a decoded result
@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import operator
 import typing
 from dataclasses import dataclass
@@ -136,9 +135,6 @@ class Compat:
     #: default.  For defaults that depend on the environment, which must
     #: never decide what a cache key leaves out.
     late_values: Tuple[Tuple[str, Any], ...] = ()
-    #: Float fields whose ``NaN`` is written as ``null`` (strict JSON has
-    #: no ``NaN``).  Other floats keep their historical bytes.
-    nan_as_null: Tuple[str, ...] = ()
     #: Rewrites a legacy encoding into today's shape before decoding.
     upgrade: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
 
@@ -170,8 +166,6 @@ COMPAT: Dict[str, Compat] = {
     "LedgerSample": Compat(row=True),
     "Addr": Compat(row=True),
     "MembershipUpdate": Compat(row=True),
-    # The unstamped-send sentinel.
-    "Message": Compat(nan_as_null=("send_time",)),
     "FaultPlan": Compat(
         late=("duplicate_bursts", "reorder_bursts", "clock_drifts", "slow_nodes")
     ),
@@ -269,7 +263,6 @@ def _fields_encoder(cls: Any) -> Callable[[Any], Any]:
     names = [f.name for f in fields]
     late = {f.name: _default(f) for f in fields if f.name in compat.late}
     late.update(compat.late_values)
-    nan_as_null = compat.nan_as_null
     registry = _registry(cls)
     if registry is not None and registry.get(cls.__name__) is not cls:
         raise TypeError(f"unregistered codec type {cls.__name__!r}")
@@ -281,9 +274,6 @@ def _fields_encoder(cls: Any) -> Callable[[Any], Any]:
             if name in late and value == late[name]:
                 continue
             data[name] = encode(value)
-        for name in nan_as_null:
-            if math.isnan(data[name]):
-                data[name] = None
         if registry is None:
             return data
         return {"type": cls.__name__, "fields": data}
@@ -378,10 +368,7 @@ def _class_decoder(cls: Any) -> Decoder:
 def _fields_decoder(cls: Any) -> Decoder:
     hints = typing.get_type_hints(cls)
     compat = _compat(cls)
-    fields = {
-        f.name: _null_to_nan if f.name in compat.nan_as_null else _decoder(hints[f.name])
-        for f in dataclasses.fields(cls)
-    }
+    fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls)}
     upgrade = compat.upgrade
     late_values = compat.late_values
 
@@ -397,10 +384,6 @@ def _fields_decoder(cls: Any) -> Decoder:
         return cls(**values)
 
     return decoder
-
-
-def _null_to_nan(value: Optional[float]) -> float:
-    return math.nan if value is None else value
 
 
 # -- metrics recorder (the one non-dataclass) --------------------------------

@@ -4,15 +4,15 @@ A :class:`repro.net.messages.Message` is shared state the moment it is
 handed to the network: the sender keeps a reference for correlation
 (``msg_id``), the delivery callback holds it in flight, and the receiver
 reads it from its inbox.  Mutating any copy after construction is a race
-against simulated time -- the historical bug class here was stamping
-``send_time`` onto the *sender's* instance, visible retroactively to
-anyone who kept the reference.  Two checks enforce immutability:
+against simulated time -- the historical bug class here was stamping a
+send time onto the *sender's* instance, visible retroactively to anyone
+who kept the reference.  Two checks enforce immutability:
 
 * every ``@dataclass`` in ``net/messages.py`` (and any dataclass
   subclassing ``Message`` elsewhere) must pass ``frozen=True``;
-* no attribute store targets known message-metadata fields
-  (``send_time``, ``msg_id``) on anything but ``self`` -- catching
-  mutation attempts in files that only *use* messages.
+* no attribute store targets the message-metadata field ``msg_id`` on
+  anything but ``self`` -- catching mutation attempts in files that
+  only *use* messages.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
 #: Message metadata fields nobody may assign to outside the class itself.
-_PROTECTED_FIELDS = frozenset({"send_time", "msg_id"})
+_PROTECTED_FIELDS = frozenset({"msg_id"})
 
 #: Base-class names marking a dataclass as a network message.
 _MESSAGE_BASES = frozenset({"Message"})
@@ -106,5 +106,5 @@ class FrozenMessageRule(Rule):
                         node,
                         f"post-construction write to message field "
                         f"'.{target.attr}'; messages are frozen -- build the "
-                        "stamped value with dataclasses.replace() instead",
+                        "updated value with dataclasses.replace() instead",
                     )

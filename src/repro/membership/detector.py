@@ -193,9 +193,8 @@ class FailureDetector:
         """Piggyback pending membership updates onto ``message``.
 
         Returns the message unchanged when nothing is pending; otherwise
-        a ``dataclasses.replace`` copy (same ``msg_id``/``send_time``
-        semantics, lint R4) carrying up to ``membership_piggyback_max``
-        updates.
+        a ``dataclasses.replace`` copy (same ``msg_id``, lint R4)
+        carrying up to ``membership_piggyback_max`` updates.
         """
         updates = self.view.select_updates(self.config.membership_piggyback_max)
         if not updates:

@@ -22,12 +22,10 @@ is expressed with these four message types:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
-from typing import Dict, NamedTuple, Optional, Tuple, Type, TypeVar
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Tuple
 
 _MESSAGE_COUNTER = itertools.count(1)
-
-_MessageT = TypeVar("_MessageT", bound="Message")
 
 
 def next_message_id() -> int:
@@ -96,11 +94,6 @@ class Message:
     ----------
     src, dst:
         Endpoint addresses (:class:`Addr`).
-    send_time:
-        Simulated time at which the message entered the network.  The
-        sender's instance keeps the ``nan`` default;
-        :meth:`repro.net.network.Network.send` delivers a stamped copy
-        (:meth:`stamped`, preserving ``msg_id``).
     msg_id:
         Unique id, used to correlate requests and replies.
     gossip:
@@ -115,37 +108,11 @@ class Message:
     src: Addr
     dst: Addr
     msg_id: int = field(default_factory=next_message_id)
-    send_time: float = float("nan")
     gossip: Tuple[MembershipUpdate, ...] = ()
 
     @property
     def kind(self) -> str:
         return type(self).__name__
-
-    def stamped(self: _MessageT, send_time: float) -> _MessageT:
-        """The in-flight twin: an identical copy with ``send_time`` set.
-
-        Semantically ``dataclasses.replace(self, send_time=...)`` (same
-        ``msg_id``, all other fields shared), minus the per-call field
-        introspection and re-validation -- ``Network.send`` stamps every
-        message exactly once on the kernel's hottest path.  The copy is
-        fully built before anyone holds a reference, so R4's sharing
-        invariant (no observable post-construction mutation) holds.
-        """
-        cls = type(self)
-        names = _STAMP_FIELDS.get(cls)
-        if names is None:
-            names = tuple(f.name for f in fields(cls))
-            _STAMP_FIELDS[cls] = names
-        twin = cls.__new__(cls)
-        for name in names:
-            object.__setattr__(twin, name, getattr(self, name))
-        object.__setattr__(twin, "send_time", send_time)
-        return twin
-
-
-#: Per-class field-name cache backing :meth:`Message.stamped`.
-_STAMP_FIELDS: Dict[Type["Message"], Tuple[str, ...]] = {}
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,8 +8,8 @@ Pins the canonical JSON of every shape the harness codec writes to a
 cache file, a journal or a fingerprint: for each sweep task kind an
 all-defaults spec and an every-optional-field-set spec (with their
 ``spec_fingerprint``) plus a minimal and a fully populated result; a
-fault plan using all nine categories; every wire message type
-(including an unstamped ``NaN`` send time); and the decoded form of the
+fault plan using all nine categories; every wire message type; and the
+decoded form of the
 legacy inputs older caches still hold.  ``tests/test_codec_golden.py``
 asserts today's codec reproduces every entry byte for byte, so a codec
 change that moves a cache key or a stored result fails there first.
@@ -411,28 +411,25 @@ def messages() -> List[Tuple[str, Any]]:
         (
             "PowerRequest",
             PowerRequest(
-                src=a, dst=b, msg_id=101, send_time=1.25, urgent=True, alpha=0.5,
-                iteration=7,
+                src=a, dst=b, msg_id=101, urgent=True, alpha=0.5, iteration=7,
             ),
         ),
-        ("PowerRequest-unstamped", PowerRequest(src=a, dst=b, msg_id=102)),
+        ("PowerRequest-defaults", PowerRequest(src=a, dst=b, msg_id=102)),
         (
             "PowerGrant",
             PowerGrant(
-                src=b, dst=a, msg_id=103, send_time=2.0, delta=4.5, reply_to=101,
-                gossip=gossip,
+                src=b, dst=a, msg_id=103, delta=4.5, reply_to=101, gossip=gossip,
             ),
         ),
         ("GrantAck", GrantAck(src=a, dst=b, msg_id=104, reply_to=103, delta=4.5)),
-        ("ExcessReport", ExcessReport(src=a, dst=b, msg_id=105, send_time=0.0, delta=2.0)),
+        ("ExcessReport", ExcessReport(src=a, dst=b, msg_id=105, delta=2.0)),
         ("ReleaseDirective", ReleaseDirective(src=b, dst=a, msg_id=106, on_behalf_of=9)),
         ("MembershipPing", MembershipPing(src=a, dst=b, msg_id=107, gossip=gossip)),
         ("MembershipPingReq", MembershipPingReq(src=a, dst=b, msg_id=108, target=4)),
         (
             "MembershipAck",
             MembershipAck(
-                src=b, dst=a, msg_id=109, send_time=3.5, subject=4, incarnation=2,
-                reply_to=108,
+                src=b, dst=a, msg_id=109, subject=4, incarnation=2, reply_to=108,
             ),
         ),
         ("MembershipGossip", MembershipGossip(src=a, dst=b, msg_id=110, gossip=gossip[:1])),

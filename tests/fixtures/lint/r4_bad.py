@@ -15,8 +15,8 @@ class BarePing(Message):  # line 14: R4 (bare decorator, not frozen)
     payload: float = 0.0
 
 
-def bad_stamp(message, now: float) -> None:
-    message.send_time = now  # line 19: R4
+def bad_bump_id(message) -> None:
+    message.msg_id += 1  # line 19: R4
 
 
 def bad_rewrite_id(message) -> None:

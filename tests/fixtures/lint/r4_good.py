@@ -1,4 +1,4 @@
-"""R4 fixture: frozen messages and replace()-based stamping."""
+"""R4 fixture: frozen messages and replace()-based updates."""
 
 from dataclasses import dataclass, replace
 
@@ -15,12 +15,12 @@ class NotAMessage:  # plain dataclasses outside messages.py are fine
     cursor: int = 0
 
 
-def stamp(message, now: float):
-    return replace(message, send_time=now)  # immutable update: allowed
+def piggyback(message, updates):
+    return replace(message, gossip=updates)  # immutable update: allowed
 
 
 class Carrier:
     def __init__(self) -> None:
-        # 'self.send_time' on a non-message class is that class's own
+        # 'self.msg_id' on a non-message class is that class's own
         # business -- only foreign-object writes are flagged.
-        self.send_time = 0.0
+        self.msg_id = 0

@@ -72,8 +72,3 @@ def test_standalone_round_trips_to_identical_bytes(name, cls, value):
 def test_every_message_type_is_in_the_corpus():
     names = {name.split("/")[1].split("-")[0] for name in GOLDEN if name.startswith("message/")}
     assert names == set(MESSAGE_TYPES)
-
-
-def test_unstamped_send_time_encodes_as_null():
-    fields = json.loads(GOLDEN["message/PowerRequest-unstamped"]["json"])["fields"]
-    assert fields["send_time"] is None
