@@ -25,11 +25,18 @@ aborting), ``--journal PATH`` write-ahead logs every spec state
 transition, and ``--resume JOURNAL`` restarts a crashed or SIGKILL'd
 campaign from its last durable state.  ``--harness-faults`` injects
 worker crashes/hangs/exceptions to exercise exactly that machinery.
+
+``REPRO_BATCHED_TICKS=1`` (or ``true``/``on``/``yes``) runs every
+command that builds experiment universes, except ``fuzz``, with batched
+decider ticks.  :func:`main` reads it once, the only environment read in
+the package, and passes the mode on as an explicit
+:class:`~repro.sim.config.SimConfig`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -60,6 +67,7 @@ from repro.experiments.scaling import (
     sweep_frequency,
     sweep_scale,
 )
+from repro.sim.config import SimConfig
 
 #: Subcommands that fan out through the sweep runner.
 SWEEP_COMMANDS = (
@@ -436,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
+    batched = os.environ.get("REPRO_BATCHED_TICKS", "")  # lint: allow[R1] the CLI boundary
+    sim = SimConfig(batched_ticks=batched.strip().lower() in ("1", "true", "on", "yes"))
 
     runner_kwargs: dict = {}
     if args.command in SWEEP_COMMANDS:
@@ -462,7 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             runner_kwargs["harness_faults"] = args.harness_faults
         add_progress_listener(print_progress)
     try:
-        return _dispatch(args, runner_kwargs)
+        return _dispatch(args, runner_kwargs, sim)
     except SweepFailure as failure:
         print(f"[sweep failed] {failure}", file=sys.stderr)
         return 1
@@ -472,14 +482,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[done in {time.perf_counter() - started:.1f}s]", file=sys.stderr)
 
 
-def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
+def _dispatch(args: argparse.Namespace, runner_kwargs: dict, sim: SimConfig) -> int:
     if args.command == "lint":
         from repro.lint.cli import run_lint_command
 
         return run_lint_command(args)
     if args.command == "overhead":
         result = run_overhead_experiment(
-            cap_w_per_socket=args.cap, seed=args.seed, workload_scale=args.scale
+            cap_w_per_socket=args.cap, seed=args.seed, workload_scale=args.scale, sim=sim
         )
         print(format_overhead(result))
     elif args.command == "nominal":
@@ -489,6 +499,7 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             n_clients=args.clients,
             seed=args.seed,
             workload_scale=args.scale,
+            sim=sim,
             **runner_kwargs,
         )
         print(format_nominal(result))
@@ -499,12 +510,13 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             n_clients=args.clients,
             seed=args.seed,
             workload_scale=args.scale,
+            sim=sim,
             **runner_kwargs,
         )
         print(format_faulty(result))
     elif args.command == "scaling-frequency":
         results = sweep_frequency(
-            frequencies_hz=args.freqs, n_clients=args.clients, seed=args.seed,
+            frequencies_hz=args.freqs, n_clients=args.clients, seed=args.seed, sim=sim,
             **runner_kwargs,
         )
         for text in format_frequency_figures(results).values():
@@ -512,7 +524,7 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             print()
     elif args.command == "scaling-scale":
         results = sweep_scale(
-            scales=args.scales, frequency_hz=args.freq, seed=args.seed,
+            scales=args.scales, frequency_hz=args.freq, seed=args.seed, sim=sim,
             **runner_kwargs,
         )
         for text in format_scale_figures(results).values():
@@ -530,6 +542,7 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             cap_w_per_socket=args.cap,
             seed=args.seed,
             workload_scale=args.scale,
+            sim=sim,
             **runner_kwargs,
         )
         print(format_multijob(comparison))
@@ -543,6 +556,7 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
         results = run_chaos_sweep(
             chaos_specs(
                 args.seeds,
+                sim=sim,
                 n_clients=args.clients,
                 cap_w_per_socket=args.cap,
                 workload_scale=args.scale,
@@ -710,6 +724,7 @@ def _dispatch(args: argparse.Namespace, runner_kwargs: dict) -> int:
             observe_s=args.observe,
             seed=args.seed,
             runner_options=runner_options,
+            sim=sim,
             **sweep_kwargs,
         )
         print(format_allocation(traces))

@@ -32,8 +32,6 @@ class ClusterConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     enforcement_delay_s: Tuple[float, float] = (0.2, 0.5)
     reading_noise: float = 0.01
-    #: Per-endpoint inbox bound; overflow drops packets.
-    inbox_capacity: int = 128
     #: Probability of any message being lost in flight (lossy fabric).
     message_loss_probability: float = 0.0
 

@@ -88,11 +88,10 @@ class AllocationSpec:
     observe_s: float = 30.0
     sample_every_s: float = 1.0
     manager_config: Optional[ManagerConfig] = None
-    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    #: Kernel knobs, tick mode included (per-node by default).
     sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sim", self.sim.resolved())
         if self.observe_s <= 0 or self.sample_every_s <= 0:
             raise ValueError("observation times must be positive")
 
@@ -147,33 +146,6 @@ def run_allocation_point(spec: AllocationSpec) -> AllocationTrace:
     )
 
 
-def measure_allocation_trace(
-    manager_name: str,
-    pair: Tuple[str, str] = ("EP", "DC"),
-    cap_w_per_socket: float = 65.0,
-    n_clients: int = 10,
-    seed: int = 0,
-    workload_scale: float = 0.5,
-    observe_s: float = 30.0,
-    sample_every_s: float = 1.0,
-    manager_config=None,
-) -> AllocationTrace:
-    """Keyword-style wrapper around :func:`run_allocation_point`."""
-    return run_allocation_point(
-        AllocationSpec(
-            manager=manager_name,
-            pair=tuple(pair),
-            cap_w_per_socket=cap_w_per_socket,
-            n_clients=n_clients,
-            seed=seed,
-            workload_scale=workload_scale,
-            observe_s=observe_s,
-            sample_every_s=sample_every_s,
-            manager_config=manager_config,
-        )
-    )
-
-
 # -- sweep-runner integration ------------------------------------------------
 
 
@@ -194,17 +166,19 @@ def compare_allocation_quality(
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
     runner_options: Optional[Dict[str, Any]] = None,
+    sim: SimConfig = SimConfig(),
     **kwargs,
 ) -> Dict[str, AllocationTrace]:
     """Allocation traces for several managers under identical conditions.
 
-    One spec per manager, fanned out (and cached) through
-    :func:`~repro.experiments.runner.run_sweep`.  ``**kwargs`` feed the
-    :class:`AllocationSpec` template, so the resilient-executor options
-    (``retry``, ``journal``, ``resume``, ``harness_faults``) travel in
-    the explicit ``runner_options`` dict instead.
+    One spec per manager, in the tick mode ``sim``, fanned out (and
+    cached) through :func:`~repro.experiments.runner.run_sweep`.
+    ``**kwargs`` feed the :class:`AllocationSpec` template, so the
+    resilient-executor options (``retry``, ``journal``, ``resume``,
+    ``harness_faults``) travel in the explicit ``runner_options`` dict
+    instead.
     """
-    specs = [AllocationSpec(manager=manager, **kwargs) for manager in managers]
+    specs = [AllocationSpec(manager=manager, sim=sim, **kwargs) for manager in managers]
     traces = raise_on_failures(
         run_sweep(
             specs,

@@ -107,11 +107,10 @@ class ChaosSpec:
     reorder_window_s: float = 0.05
     max_drift_rate: float = 0.05
     slow_factor: float = 8.0
-    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    #: Kernel knobs, tick mode included (per-node by default).
     sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sim", self.sim.resolved())
         if self.n_clients < 4:
             raise ValueError("chaos runs need at least four client nodes")
         if self.duration_s <= 0:
@@ -507,10 +506,12 @@ CHAOS_RUN = TaskKind(
 
 def chaos_specs(
     seeds: Sequence[int],
+    sim: SimConfig = SimConfig(),
     **overrides: Any,
 ) -> List[ChaosSpec]:
-    """One spec per seed, sharing every other (overridable) parameter."""
-    return [ChaosSpec(seed=seed, **overrides) for seed in seeds]
+    """One spec per seed in the tick mode ``sim``, sharing every other
+    (overridable) parameter."""
+    return [ChaosSpec(seed=seed, sim=sim, **overrides) for seed in seeds]
 
 
 def run_chaos_sweep(

@@ -22,6 +22,7 @@ from repro.analysis.stats import geometric_mean, normalized_performance
 from repro.cluster.faults import FaultPlan
 from repro.experiments.harness import RunSpec, needs_server_node
 from repro.experiments.runner import ProgressListener, raise_on_failures, run_sweep
+from repro.sim.config import SimConfig
 from repro.workloads.apps import APP_NAMES, build_app
 from repro.workloads.generator import unique_pairs
 from repro.workloads.performance import runtime_at_constant_cap
@@ -119,6 +120,7 @@ def run_faulty_sweep(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
+    sim: SimConfig = SimConfig(),
     **runner_kwargs: Any,
 ) -> FaultyResult:
     """Run the Figure 3 sweep: every run suffers its §4.4 failure.
@@ -127,26 +129,33 @@ def run_faulty_sweep(
     form), not the measured one, so the whole sweep -- Fair baselines and
     faulted runs alike -- is known up-front and fans out through
     :func:`~repro.experiments.runner.run_sweep` (``jobs`` worker
-    processes, results cached under ``cache_dir``).
+    processes, results cached under ``cache_dir``), every run in the
+    tick mode ``sim``.
     """
     pair_list = list(pairs) if pairs is not None else unique_pairs(APP_NAMES)
     result = FaultyResult(
         caps=tuple(caps), systems=tuple(systems), pairs=tuple(pair_list)
     )
+
+    def run_spec(
+        manager: str, cap: float, pair: Tuple[str, str], plan: Optional[FaultPlan] = None
+    ) -> RunSpec:
+        return RunSpec(
+            manager=manager,
+            pair=pair,
+            cap_w_per_socket=cap,
+            n_clients=n_clients,
+            seed=seed,
+            workload_scale=workload_scale,
+            fault_plan=plan,
+            sim=sim,
+        )
+
     specs: list = []
     slots: list = []
     for cap in caps:
         for pair in pair_list:
-            specs.append(
-                RunSpec(
-                    manager="fair",
-                    pair=pair,
-                    cap_w_per_socket=cap,
-                    n_clients=n_clients,
-                    seed=seed,
-                    workload_scale=workload_scale,
-                )
-            )
+            specs.append(run_spec("fair", cap, pair))
             slots.append(("fair", cap, pair))
             for system in systems:
                 plan = fault_plan_for(
@@ -157,17 +166,7 @@ def run_faulty_sweep(
                     workload_scale=workload_scale,
                     failure_fraction=failure_fraction,
                 )
-                specs.append(
-                    RunSpec(
-                        manager=system,
-                        pair=pair,
-                        cap_w_per_socket=cap,
-                        n_clients=n_clients,
-                        seed=seed,
-                        workload_scale=workload_scale,
-                        fault_plan=plan,
-                    )
-                )
+                specs.append(run_spec(system, cap, pair, plan))
                 slots.append((system, cap, pair))
 
     runs = raise_on_failures(

@@ -19,8 +19,8 @@ delta-debugging to the *schedule*:
 
 The minimized schedule is emitted as a JSON repro file (format
 ``penelope-fuzz-repro/1``) that ``repro fuzz --replay <file>`` re-runs
-deterministically: every sampled spec pins
-``SimConfig(batched_ticks=False)`` (a repro file's spec decodes to it)
+deterministically: every sampled spec keeps the default per-node tick
+mode (the batcher approximates staggered ticks; a repro must be exact)
 and all sampling comes from the master seed's ``fuzz.sample`` stream,
 so the same invocation always finds, shrinks and replays the same
 schedule.
@@ -45,15 +45,10 @@ from repro.experiments.invariants import (
     get_invariant,
 )
 from repro.experiments.journal import CampaignJournal, replay_journal
-from repro.sim.config import SimConfig
 from repro.sim.rng import RngRegistry
 
 #: Repro-file schema identifier (bump on incompatible change).
 REPRO_FORMAT = "penelope-fuzz-repro/1"
-
-#: Every sampled spec pins the per-node trajectory (the batcher
-#: approximates staggered ticks; a repro must be exact).
-_SIM = SimConfig(batched_ticks=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,6 @@ def sample_spec(rng: np.random.Generator, config: FuzzConfig) -> ChaosSpec:
         clock_drifts=int(rng.integers(0, 3)),
         slow_nodes=int(rng.integers(0, 3)),
         enable_membership=bool(rng.integers(0, 2)),
-        sim=_SIM,
     )
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence
 
 from repro.experiments.harness import build_universe, extra_nodes
+from repro.sim.config import SimConfig
 from repro.workloads.apps import build_app
 
 
@@ -54,6 +55,7 @@ def run_hardware_efficiency(
     app: str = "EP",
     workload_scale: float = 0.5,
     seed: int = 0,
+    sim: SimConfig = SimConfig(),
 ) -> ThroughputResult:
     """Throughput of ``manager_name`` on fixed hardware and budget.
 
@@ -70,7 +72,7 @@ def run_hardware_efficiency(
         seed=seed,
         n_clients=n_clients,
         budget_w=budget_w,
-        sim=None,
+        sim=sim,
         workloads=lambda rngs: {
             node_id: build_app(app, rng=rngs.stream("workload.jitter"), scale=workload_scale)
             for node_id in range(n_clients)

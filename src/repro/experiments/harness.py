@@ -117,11 +117,10 @@ class RunSpec:
     fault_plan: Optional[FaultPlan] = None
     record_caps: bool = False
     time_limit_s: float = 1e6
-    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    #: Kernel knobs, tick mode included (per-node by default).
     sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sim", self.sim.resolved())
         if self.manager not in MANAGER_FACTORIES:
             raise ValueError(f"unknown manager {self.manager!r}")
         if self.n_clients < 2:
@@ -172,7 +171,7 @@ def build_universe(
     seed: int,
     n_clients: int,
     budget_w: float,
-    sim: Optional[SimConfig],
+    sim: SimConfig,
     workloads: Optional[WorkloadsFactory] = None,
     traces: Optional[Mapping[int, PowerTrace]] = None,
     node_spec: PowerDomainSpec = SKYLAKE_6126_NODE,
@@ -188,8 +187,7 @@ def build_universe(
     the same ratio so every node's fair share stays ``budget_w /
     n_clients``.  Nodes run ``workloads`` or, given ``traces``, play
     back power profiles.  ``manager=None`` builds an unmanaged cluster.
-    ``sim=None`` takes the ambient kernel defaults; spec-driven runs
-    always pass their spec's resolved ``sim``.
+    ``sim`` is the kernel mode; spec-driven runs pass their spec's.
     """
     engine = Engine(sim=sim)
     rngs = RngRegistry(seed=seed)

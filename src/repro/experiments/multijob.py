@@ -89,11 +89,10 @@ class MultiJobSpec:
     sequences: Tuple[Tuple[str, ...], ...] = DEFAULT_SEQUENCES
     fault_plan: Optional[FaultPlan] = None
     manager_config: Optional[ManagerConfig] = None
-    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    #: Kernel knobs, tick mode included (per-node by default).
     sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sim", self.sim.resolved())
         if self.n_clients < 1:
             raise ValueError("need at least one client node")
         if self.cap_w_per_socket <= 0:
@@ -129,31 +128,6 @@ def run_multijob_spec(spec: MultiJobSpec) -> MultiJobResult:
         runtime_s=runtime,
         faulted=spec.fault_plan is not None and not spec.fault_plan.is_empty,
         recorder=manager.recorder,
-    )
-
-
-def run_multijob(
-    manager_name: str,
-    n_clients: int = 10,
-    cap_w_per_socket: float = 65.0,
-    seed: int = 0,
-    workload_scale: float = 1.0,
-    sequences: Sequence[Sequence[str]] = DEFAULT_SEQUENCES,
-    fault_plan: Optional[FaultPlan] = None,
-    manager_config: Optional[ManagerConfig] = None,
-) -> MultiJobResult:
-    """Keyword-style wrapper around :func:`run_multijob_spec`."""
-    return run_multijob_spec(
-        MultiJobSpec(
-            manager=manager_name,
-            n_clients=n_clients,
-            cap_w_per_socket=cap_w_per_socket,
-            seed=seed,
-            workload_scale=workload_scale,
-            sequences=tuple(tuple(sequence) for sequence in sequences),
-            fault_plan=fault_plan,
-            manager_config=manager_config,
-        )
     )
 
 
@@ -198,12 +172,14 @@ def run_multijob_comparison(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
+    sim: SimConfig = SimConfig(),
     **runner_kwargs: Any,
 ) -> MultiJobComparison:
     """The §4.4 generalization experiment.
 
     The fault strikes during job 1 (at ``fault_at_fraction`` of the Fair
     runtime), so the frozen caps are tuned for the *wrong* job afterwards.
+    Every run uses the tick mode ``sim``.
 
     Runs fan out through :func:`~repro.experiments.runner.run_sweep` in
     two waves: the fault-free runs first (the fault instant depends on the
@@ -218,6 +194,7 @@ def run_multijob_comparison(
             seed=seed,
             workload_scale=workload_scale,
             fault_plan=fault_plan,
+            sim=sim,
         )
 
     sweep = dict(

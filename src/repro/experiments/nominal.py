@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple  # noqa: F401
 from repro.analysis.stats import geometric_mean, normalized_performance
 from repro.experiments.harness import RunSpec
 from repro.experiments.runner import ProgressListener, raise_on_failures, run_sweep
+from repro.sim.config import SimConfig
 from repro.workloads.apps import APP_NAMES
 from repro.workloads.generator import unique_pairs
 
@@ -81,6 +82,7 @@ def run_nominal_sweep(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
+    sim: SimConfig = SimConfig(),
     **runner_kwargs: Any,
 ) -> NominalResult:
     """Run the full Figure 2 sweep (or a subset, for tests).
@@ -88,7 +90,7 @@ def run_nominal_sweep(
     Within one (cap, pair, repetition) cell Fair and every dynamic system
     share a seed, so they face identical workload jitter; ``repetitions``
     reruns each cell with derived seeds and stores the geomean, for
-    tighter estimates.
+    tighter estimates.  Every run uses the tick mode ``sim``.
 
     Every run is independent, so the whole sweep is one flat spec list
     handed to :func:`~repro.experiments.runner.run_sweep`: ``jobs`` fans
@@ -114,6 +116,7 @@ def run_nominal_sweep(
             n_clients=n_clients,
             seed=seed + 7919 * repetition,
             workload_scale=workload_scale,
+            sim=sim,
         )
 
     specs: List[RunSpec] = []

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.config import PenelopeConfig
 from repro.experiments.harness import build_universe
+from repro.sim.config import SimConfig
 from repro.workloads.apps import APP_NAMES, build_app
 
 
@@ -50,6 +51,7 @@ def _single_node_runtime(
     seed: int,
     workload_scale: float,
     with_penelope: bool,
+    sim: SimConfig,
     config: Optional[PenelopeConfig] = None,
 ) -> float:
     """One app on one node, with or without the Penelope daemons."""
@@ -58,7 +60,7 @@ def _single_node_runtime(
         seed=seed,
         n_clients=1,
         budget_w=cap_w_per_socket * 2,
-        sim=None,
+        sim=sim,
         workloads=lambda rngs: {
             0: build_app(app, rng=rngs.stream("workload.jitter"), scale=workload_scale)
         },
@@ -79,12 +81,14 @@ def run_overhead_experiment(
     seed: int = 0,
     workload_scale: float = 1.0,
     config: Optional[PenelopeConfig] = None,
+    sim: SimConfig = SimConfig(),
 ) -> OverheadResult:
-    """Measure Penelope-on vs static-cap runtimes for every app (§4.2)."""
+    """Measure Penelope-on vs static-cap runtimes for every app (§4.2),
+    both sides in the tick mode ``sim``."""
     runtimes: Dict[str, Tuple[float, float]] = {}
     for app in apps:
         static = _single_node_runtime(
-            app, cap_w_per_socket, seed, workload_scale, with_penelope=False
+            app, cap_w_per_socket, seed, workload_scale, with_penelope=False, sim=sim
         )
         managed = _single_node_runtime(
             app,
@@ -92,6 +96,7 @@ def run_overhead_experiment(
             seed,
             workload_scale,
             with_penelope=True,
+            sim=sim,
             config=config,
         )
         runtimes[app] = (static, managed)

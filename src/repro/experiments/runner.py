@@ -40,10 +40,10 @@ universe.  :func:`run_sweep` is the one funnel they all go through now:
   :mod:`repro.experiments.report` prints them for the CLI and the
   benchmark conftest counts them.
 
-* **Self-chaos.**  ``harness_faults`` (or the ``REPRO_HARNESS_FAULTS``
-  environment variable) arms :func:`_call_shimmed` around ``kind.fn``
-  to inject worker crashes, hangs and poisoned specs -- the test/CI
-  hook that proves the pool degrades gracefully.
+* **Self-chaos.**  ``harness_faults`` (the CLI's ``--harness-faults``)
+  arms :func:`_call_shimmed` around ``kind.fn`` to inject worker
+  crashes, hangs and poisoned specs -- the test/CI hook that proves
+  the pool degrades gracefully.
 
 Sweeps over other spec types plug in through :class:`TaskKind`, which
 bundles the run function with its JSON codecs (see
@@ -83,10 +83,6 @@ CODE_VERSION = "2"
 
 #: Where the CLI caches results unless told otherwise.
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Environment hook for the harness self-chaos shim (same syntax as the
-#: ``harness_faults`` argument / ``--harness-faults`` flag).
-HARNESS_FAULTS_ENV = "REPRO_HARNESS_FAULTS"
 
 #: Exit code a crash-injected worker dies with (distinctive in logs).
 _CRASH_EXIT_CODE = 86
@@ -219,17 +215,13 @@ def _call_shimmed(
     spec: Any,
     index: int,
     attempt: int,
-    faults_text: Optional[str],
+    faults_text: str,
 ) -> Any:
     """Worker-side wrapper around ``kind.fn`` that injects harness faults.
 
     Module-level (picklable by reference) so the pool can ship it; the
-    fault spec travels as text and is re-parsed here, falling back to
-    the ``REPRO_HARNESS_FAULTS`` environment variable so spawned workers
-    can be armed without driver cooperation.
+    fault spec travels as text and is re-parsed here.
     """
-    if faults_text is None:
-        faults_text = os.environ.get(HARNESS_FAULTS_ENV)
     faults = HarnessFaults.parse(faults_text)
     if index in faults.crash and attempt == 0:
         os._exit(_CRASH_EXIT_CODE)
@@ -429,9 +421,8 @@ def run_sweep(
         durable ``done``/``quarantined`` record.  Requires ``journal``.
     harness_faults:
         Self-chaos spec (``"crash:0,hang:1,raise:2"``) shimmed around
-        ``kind.fn``; falls back to ``$REPRO_HARNESS_FAULTS``.  Crash and
-        hang faults need ``jobs > 1`` (in-process they would take the
-        driver down with them).
+        ``kind.fn``.  Crash and hang faults need ``jobs > 1``
+        (in-process they would take the driver down with them).
     """
     spec_list = list(specs)
     if jobs is None:
@@ -441,13 +432,8 @@ def run_sweep(
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
     policy = retry if retry is not None else DEFAULT_RETRY
-    faults_text = (
-        harness_faults
-        if harness_faults is not None
-        else os.environ.get(HARNESS_FAULTS_ENV) or None
-    )
-    if faults_text is not None:
-        HarnessFaults.parse(faults_text)  # fail fast on a typo'd spec
+    if harness_faults is not None:
+        HarnessFaults.parse(harness_faults)  # fail fast on a typo'd spec
     cache = (
         ResultCache(cache_dir, kind, salt)
         if use_cache and cache_dir is not None
@@ -516,12 +502,12 @@ def run_sweep(
         if jobs == 1:
             _run_serial(
                 kind, cache, journal_log, results, spec_list, fingerprints,
-                pending, total, policy, faults_text, progress,
+                pending, total, policy, harness_faults, progress,
             )
         else:
             _run_parallel(
                 kind, cache, journal_log, results, spec_list, fingerprints,
-                pending, total, jobs, policy, faults_text, progress,
+                pending, total, jobs, policy, harness_faults, progress,
             )
         return results
     finally:

@@ -93,11 +93,10 @@ class ScalingSpec:
     #: server's socket buffer does not grow with the cluster.
     server_inbox_capacity: int = 2048
     manager_config: Optional[ManagerConfig] = None
-    #: Kernel knobs; the ambient tick mode is resolved at construction.
+    #: Kernel knobs, tick mode included (per-node by default).
     sim: SimConfig = SimConfig()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sim", self.sim.resolved())
         if self.manager not in ("penelope", "slurm"):
             raise ValueError("scaling study compares penelope and slurm")
         if self.n_clients < 4 or self.n_clients % 2:
@@ -368,10 +367,14 @@ def sweep_frequency(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
+    sim: SimConfig = SimConfig(),
     **runner_kwargs: Any,
 ) -> Dict[Tuple[str, float], ScalingResult]:
-    """Figures 4, 5, 7: fix the scale, sweep decider frequency."""
-    template = base or ScalingSpec(manager="penelope", n_clients=n_clients, seed=seed)
+    """Figures 4, 5, 7: fix the scale, sweep decider frequency.
+
+    ``sim`` is the default template's tick mode; a ``base`` carries its own.
+    """
+    template = base or ScalingSpec(manager="penelope", n_clients=n_clients, seed=seed, sim=sim)
     points: List[ScalingSpec] = []
     keys: List[Tuple[str, float]] = []
     for manager in managers:
@@ -412,11 +415,13 @@ def sweep_pairs(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
+    sim: SimConfig = SimConfig(),
     **runner_kwargs: Any,
 ) -> Dict[Tuple[str, Tuple[str, str]], ScalingResult]:
     """The paper's per-pair distributions: one scaling run per application
     pair, using windowed pair profiles (§4.5: "we compute the value in
-    question under all 36 pairs of applications and plot the distribution").
+    question under all 36 pairs of applications and plot the distribution"),
+    every run in the tick mode ``sim``.
 
     Pairs whose donor had nothing left to release at the window (its
     excess was already shifted before the release event) report
@@ -438,6 +443,7 @@ def sweep_pairs(
                     observe_for_s=observe_for_s,
                     pair=pair,
                     seed=seed,
+                    sim=sim,
                 )
             )
             keys.append((manager, pair))
@@ -458,10 +464,14 @@ def sweep_scale(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
     progress: Optional[ProgressListener] = None,
+    sim: SimConfig = SimConfig(),
     **runner_kwargs: Any,
 ) -> Dict[Tuple[str, int], ScalingResult]:
-    """Figures 6, 8: fix the frequency at 1/s, sweep the node count."""
-    template = base or ScalingSpec(manager="penelope", seed=seed)
+    """Figures 6, 8: fix the frequency at 1/s, sweep the node count.
+
+    ``sim`` is the default template's tick mode; a ``base`` carries its own.
+    """
+    template = base or ScalingSpec(manager="penelope", seed=seed, sim=sim)
     points: List[ScalingSpec] = []
     keys: List[Tuple[str, int]] = []
     for manager in managers:

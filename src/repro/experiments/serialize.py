@@ -67,7 +67,6 @@ from repro.net.messages import (
     PowerRequest,
     ReleaseDirective,
 )
-from repro.sim.config import SimConfig
 
 T = TypeVar("T")
 
@@ -130,11 +129,6 @@ class Compat:
     #: Fields added after caches and fixtures were pinned: omitted while
     #: they hold their default, so older canonical JSON is unchanged.
     late: Tuple[str, ...] = ()
-    #: Late fields omitted while they hold the value given here instead
-    #: of their default; an absent key decodes to that value, not to the
-    #: default.  For defaults that depend on the environment, which must
-    #: never decide what a cache key leaves out.
-    late_values: Tuple[Tuple[str, Any], ...] = ()
     #: Rewrites a legacy encoding into today's shape before decoding.
     upgrade: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
 
@@ -150,11 +144,6 @@ def _split_dropped_dead(data: Dict[str, Any]) -> Dict[str, Any]:
     upgraded["dropped_dead_src"] = upgraded.pop("dropped_dead")
     return upgraded
 
-
-#: The tick mode every spec recorded before specs carried one.  Specs
-#: resolve an absent ``sim`` from ``REPRO_BATCHED_TICKS``, so the
-#: omitted value is pinned here, never taken from the field default.
-_PER_NODE_SIM = (("sim", SimConfig(batched_ticks=False)),)
 
 #: Every byte-compatibility rule of the codec, keyed by class name (the
 #: classes live in layers that import this module).  A class inherits
@@ -173,10 +162,10 @@ COMPAT: Dict[str, Compat] = {
         late=("duplicated", "reordered", "duplicated_by_kind", "reordered_by_kind"),
         upgrade=_split_dropped_dead,
     ),
-    "RunSpec": Compat(late_values=_PER_NODE_SIM),
-    "ScalingSpec": Compat(late_values=_PER_NODE_SIM),
-    "MultiJobSpec": Compat(late_values=_PER_NODE_SIM),
-    "AllocationSpec": Compat(late_values=_PER_NODE_SIM),
+    "RunSpec": Compat(late=("sim",)),
+    "ScalingSpec": Compat(late=("sim",)),
+    "MultiJobSpec": Compat(late=("sim",)),
+    "AllocationSpec": Compat(late=("sim",)),
     "ChaosSpec": Compat(
         late=(
             "duplicate_bursts",
@@ -187,8 +176,8 @@ COMPAT: Dict[str, Compat] = {
             "reorder_window_s",
             "max_drift_rate",
             "slow_factor",
+            "sim",
         ),
-        late_values=_PER_NODE_SIM,
     ),
     "ChaosResult": Compat(late=("violations",)),
 }
@@ -262,7 +251,6 @@ def _fields_encoder(cls: Any) -> Callable[[Any], Any]:
     fields = dataclasses.fields(cls)
     names = [f.name for f in fields]
     late = {f.name: _default(f) for f in fields if f.name in compat.late}
-    late.update(compat.late_values)
     registry = _registry(cls)
     if registry is not None and registry.get(cls.__name__) is not cls:
         raise TypeError(f"unregistered codec type {cls.__name__!r}")
@@ -370,18 +358,13 @@ def _fields_decoder(cls: Any) -> Decoder:
     compat = _compat(cls)
     fields = {f.name: _decoder(hints[f.name]) for f in dataclasses.fields(cls)}
     upgrade = compat.upgrade
-    late_values = compat.late_values
 
     def decoder(data: Any) -> Any:
         if upgrade is not None:
             data = upgrade(data)
-        # Absent keys fall to the field default (or the pinned late
-        # value); an unknown key reaches the constructor, which rejects
-        # it with a TypeError.
-        values = {key: fields.get(key, _same)(value) for key, value in data.items()}
-        for name, value in late_values:
-            values.setdefault(name, value)
-        return cls(**values)
+        # Absent keys fall to the field default; an unknown key reaches
+        # the constructor, which rejects it with a TypeError.
+        return cls(**{key: fields.get(key, _same)(value) for key, value in data.items()})
 
     return decoder
 

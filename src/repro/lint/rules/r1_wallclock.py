@@ -4,6 +4,9 @@ Simulated time comes from :class:`repro.sim.engine.Engine.now` and all
 randomness from seeded :mod:`numpy` streams (see R2); any call that
 reads the host's clock or an OS entropy source makes a run depend on
 when/where it executed and silently breaks bit-identical seeded replay.
+Reading the process environment is a hidden input of the same kind:
+configuration arrives as explicit arguments, and the one read, at the
+CLI boundary, carries an inline allow.
 Monotonic *profiling* clocks (``time.perf_counter``, ``time.monotonic``,
 ``time.process_time``) are allowed: they measure the wall cost of a run
 without feeding its outcome.
@@ -38,6 +41,9 @@ _BANNED = frozenset(
     }
 )
 
+#: Environment reads: ambient configuration that a run's spec never records.
+_ENV_READS = frozenset({"os.getenv", "os.environ.get"})
+
 #: Any call into these modules is banned (the stdlib global RNG and the
 #: OS entropy pool have no seedable, named-stream discipline).
 _BANNED_MODULE_PREFIXES = ("random.", "secrets.")
@@ -47,7 +53,7 @@ _BANNED_MODULE_PREFIXES = ("random.", "secrets.")
 class WallClockRule(Rule):
     rule_id = "R1"
     name = "no-wall-clock"
-    summary = "no wall-clock reads or ambient RNG (time.time, random.*, uuid4, ...)"
+    summary = "no wall-clock, environment or ambient RNG reads (time.time, random.*, ...)"
     invariant = "bit-identical seeded replay: outcomes depend only on (seed, config)"
     scope = ()  # the whole tree: simulation code must never read the host clock
 
@@ -64,6 +70,13 @@ class WallClockRule(Rule):
                     node,
                     f"call to {qualified}() is nondeterministic; use engine.now "
                     "for simulated time or time.perf_counter() for wall profiling",
+                )
+            elif qualified in _ENV_READS:
+                yield ctx.finding(
+                    self.rule_id,
+                    node,
+                    f"call to {qualified}() reads ambient configuration; take the "
+                    "setting as an explicit argument",
                 )
             elif qualified.startswith(_BANNED_MODULE_PREFIXES):
                 yield ctx.finding(

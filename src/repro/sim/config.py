@@ -5,37 +5,22 @@ same-period decider ticks are batched), as opposed to the protocol
 configs under :mod:`repro.core.config` which select *what* is
 simulated.  Any two ``SimConfig`` values must replay a given scenario
 outcome-identically (transactions, cap trajectories, ledger balances;
-see ``tests/test_sim_batched_equivalence.py``).
+see ``tests/test_sim_batched_equivalence.py``).  The kernel reads no
+environment: a mode reaches a run only as an explicit ``SimConfig``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.schedulers import HeapScheduler
-
-#: Environment fallback for :attr:`SimConfig.batched_ticks`: any of
-#: ``1/true/on/yes`` enables batching when the config leaves the knob at
-#: ``None``.
-BATCHED_TICKS_ENV = "REPRO_BATCHED_TICKS"
 
 #: Default number of stagger slots for batched ticks.  Per-node start
 #: offsets are quantized onto this many batch events per period, so a
 #: staggered cluster still spreads its request bursts across the period
 #: instead of collapsing into lockstep.
 DEFAULT_TICK_SLOTS = 16
-
-
-def default_batched_ticks() -> bool:
-    """The ambient batched-ticks default (``REPRO_BATCHED_TICKS``)."""
-    return os.environ.get(BATCHED_TICKS_ENV, "").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
 
 
 @dataclass(frozen=True)
@@ -49,14 +34,13 @@ class SimConfig:
 
     ``batched_ticks`` drives all same-period decider ticks from a single
     batch event per period instead of one timeout + generator resume per
-    node (:mod:`repro.core.batcher`).  ``None`` defers to
-    ``REPRO_BATCHED_TICKS`` and finally to off -- the default stays off
-    so the pinned fixtures replay byte-identically.  ``tick_slots``
-    bounds how many batch events per period a staggered cluster uses.
+    node (:mod:`repro.core.batcher`).  It defaults to off, so the pinned
+    fixtures replay byte-identically.  ``tick_slots`` bounds how many
+    batch events per period a staggered cluster uses.
     """
 
     scheduler: Optional[str] = None
-    batched_ticks: Optional[bool] = None
+    batched_ticks: bool = False
     tick_slots: int = DEFAULT_TICK_SLOTS
 
     def __post_init__(self) -> None:
@@ -73,19 +57,5 @@ class SimConfig:
         return HeapScheduler()
 
     def effective_batched_ticks(self) -> bool:
-        """The batched-ticks setting actually used (env-resolved)."""
-        return bool(self.resolved().batched_ticks)
-
-    def resolved(self) -> "SimConfig":
-        """This config with ``batched_ticks`` made concrete.
-
-        Experiment specs resolve their ``sim`` once, at construction, so
-        the tick mode a run uses is the one its cache key records.
-        """
-        if self.batched_ticks is not None:
-            return self
-        return SimConfig(
-            scheduler=self.scheduler,
-            batched_ticks=default_batched_ticks(),
-            tick_slots=self.tick_slots,
-        )
+        """The batched-ticks setting a run uses."""
+        return self.batched_ticks

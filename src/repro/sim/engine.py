@@ -70,20 +70,16 @@ class Engine:
         assert engine.now == 1.0 and proc.value == "done"
 
     ``sim`` carries the kernel knobs (batched decider ticks and their
-    stagger slots); ``None`` takes the ambient defaults
-    (``REPRO_BATCHED_TICKS``, then off).
+    stagger slots); the default runs per-node ticks.
     """
 
-    def __init__(
-        self, start_time: float = 0.0, sim: Optional[SimConfig] = None
-    ) -> None:
+    def __init__(self, start_time: float = 0.0, sim: SimConfig = SimConfig()) -> None:
         self._now = float(start_time)
         self._scheduler = HeapScheduler()
         #: Kernel execution-mode flags, read by agent builders (the
         #: Penelope manager checks them to decide whether to drive its
         #: deciders through a :class:`~repro.core.batcher.TickBatcher`).
-        sim = sim if sim is not None else SimConfig()
-        self.batched_ticks = sim.effective_batched_ticks()
+        self.batched_ticks = sim.batched_ticks
         self.tick_slots = sim.tick_slots
         #: Pre-bound enqueue -- the hottest call in the simulator; event
         #: constructors invoke it directly.

@@ -10,10 +10,8 @@ SLURM, synthetic release and pair playback), the back-to-back multi-job
 run (nominal and with its server killed), the §4.2 overhead experiment,
 the hardware-efficiency comparison and the allocation-quality point.
 
-Every run is made in per-node tick mode: :func:`per_node_ticks` pins
-``REPRO_BATCHED_TICKS`` off while it runs, because the overhead and
-hardware-efficiency experiments take their tick mode from the
-environment.  For every universe a run builds (in build order) the
+Every run is made in per-node tick mode, the default of every spec and
+experiment.  For every universe a run builds (in build order) the
 fixture records the engine's processed-event count, the network
 statistics and the managed clients' final caps; for the run itself it
 records the result's codec bytes.  ``tests/test_builder_fixture.py``
@@ -23,7 +21,6 @@ asserts the experiments reproduce these bytes exactly.
 from __future__ import annotations
 
 import contextlib
-import os
 import pathlib
 import sys
 from typing import Any, Callable, Dict, Iterator, List
@@ -37,23 +34,8 @@ from repro.experiments.scaling import ScalingSpec, run_scaling_point
 from repro.experiments.serialize import canonical_json, encode
 from repro.managers.base import PowerManager
 from repro.net.network import Network
-from repro.sim.config import BATCHED_TICKS_ENV
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "builder_trajectories.json"
-
-
-@contextlib.contextmanager
-def per_node_ticks() -> Iterator[None]:
-    """Pin the ambient tick mode to per-node for the block."""
-    saved = os.environ.get(BATCHED_TICKS_ENV)
-    os.environ[BATCHED_TICKS_ENV] = "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ[BATCHED_TICKS_ENV]
-        else:
-            os.environ[BATCHED_TICKS_ENV] = saved
 
 
 @contextlib.contextmanager
@@ -147,7 +129,7 @@ FIXTURE_RUNS: Dict[str, Callable[[], Any]] = {
 
 def trajectory(name: str) -> Dict[str, Any]:
     """Run ``name`` in per-node mode and record its universes and result."""
-    with per_node_ticks(), universes() as built:
+    with universes() as built:
         result = FIXTURE_RUNS[name]()
     return {
         "universes": [_universe_record(universe) for universe in built],

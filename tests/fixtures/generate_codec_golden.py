@@ -141,8 +141,7 @@ PENELOPE = PenelopeConfig(
 SLURM = SlurmConfig(rate=0.2, server_service_time_s=(90e-6, 110e-6))
 HA_SLURM = HaSlurmConfig(failover_after_timeouts=5, stagger_window_s=0.01)
 
-#: Every spec pins the per-node tick mode, which the codec omits: the
-#: corpus holds whatever ``REPRO_BATCHED_TICKS`` says.
+#: Every spec pins the per-node tick mode, the default the codec omits.
 PER_NODE = SimConfig(batched_ticks=False)
 
 SINGLE_DEFAULTS = RunSpec(

@@ -33,3 +33,11 @@ def bad_uuid() -> object:
 
 def bad_entropy() -> bytes:
     return os.urandom(8)  # line 35: R1
+
+
+def bad_getenv() -> object:
+    return os.getenv("REPRO_MODE")  # line 39: R1
+
+
+def bad_environ_get() -> object:
+    return os.environ.get("REPRO_MODE")  # line 43: R1

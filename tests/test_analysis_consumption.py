@@ -11,6 +11,7 @@ from repro.analysis.consumption import (
     enable_power_tracing,
     total_consumption_curve,
 )
+from tests.conftest import SIM
 
 
 class TestTotalConsumptionCurve:
@@ -81,7 +82,7 @@ class TestPhysicalBudgetEndToEnd:
 
         spec = RunSpec(
             manager, ("EP", "DC"), 70.0, n_clients=6, workload_scale=0.15,
-            seed=10,
+            seed=10, sim=SIM,
         )
         engine, cluster, mgr = build_run(spec)
         enable_power_tracing(cluster)

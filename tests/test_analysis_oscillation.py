@@ -10,6 +10,7 @@ from repro.analysis.oscillation import (
     node_oscillation,
 )
 from repro.instrumentation import MetricsRecorder
+from tests.conftest import SIM
 
 
 def recorder_for(node: int, caps):
@@ -99,6 +100,7 @@ class TestRateLimitDampsOscillation:
                         enable_rate_limit=enable_rate_limit
                     ),
                     record_caps=True,
+                    sim=SIM,
                 )
             )
             initial = result.spec.budget_w / result.spec.n_clients

@@ -2,11 +2,10 @@
 
 Batched and per-node ticks give different trajectories, so a result
 computed in one mode must never answer a sweep run in the other.  Every
-task-kind spec carries its ``SimConfig``, resolved from
-``REPRO_BATCHED_TICKS`` once at construction, and ``spec_fingerprint``
-hashes it.  The per-node mode is left out of the encoding, so per-node
-cache keys -- and cache files written before specs carried a mode --
-stay valid.
+task-kind spec carries its ``SimConfig`` (per-node unless the caller
+passes another), and ``spec_fingerprint`` hashes it.  The per-node mode
+is left out of the encoding, so per-node cache keys -- and cache files
+written before specs carried a mode -- stay valid.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scaling import SCALING_RUN, ScalingSpec
 from repro.experiments.serialize import canonical_json, decode
-from repro.sim.config import BATCHED_TICKS_ENV, SimConfig
+from repro.sim.config import SimConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = json.loads((FIXTURES / "codec_golden.json").read_text())
@@ -58,36 +57,29 @@ def test_batched_and_per_node_fingerprints_differ(name, kind, spec):
 
 
 @pytest.mark.parametrize("name,kind,spec", SPECS, ids=IDS)
-def test_per_node_fingerprint_is_the_pinned_key(name, kind, spec, monkeypatch):
-    monkeypatch.setenv(BATCHED_TICKS_ENV, "1")
+def test_per_node_fingerprint_is_the_pinned_key(name, kind, spec):
     assert spec_fingerprint(replace(spec, sim=PER_NODE), kind) == GOLDEN[name]["fingerprint"]
 
 
-def test_ambient_mode_is_resolved_into_the_key(monkeypatch):
-    def fingerprint() -> str:
-        spec = RunSpec("penelope", ("EP", "DC"), 80.0, n_clients=8, workload_scale=0.1)
+def test_explicit_mode_is_in_the_key():
+    def fingerprint(**mode: SimConfig) -> str:
+        spec = RunSpec("penelope", ("EP", "DC"), 80.0, n_clients=8, workload_scale=0.1, **mode)
         return spec_fingerprint(spec)
 
-    monkeypatch.delenv(BATCHED_TICKS_ENV, raising=False)
-    unset = fingerprint()
-    monkeypatch.setenv(BATCHED_TICKS_ENV, "1")
-    batched = fingerprint()
-    monkeypatch.setenv(BATCHED_TICKS_ENV, "0")
-    assert fingerprint() == unset != batched
+    default = fingerprint()
+    assert fingerprint(sim=PER_NODE) == default != fingerprint(sim=BATCHED)
 
 
 @pytest.mark.parametrize("name,kind,spec", SPECS, ids=IDS)
-def test_pinned_spec_without_a_mode_decodes_per_node(name, kind, spec, monkeypatch):
-    monkeypatch.setenv(BATCHED_TICKS_ENV, "1")
+def test_pinned_spec_without_a_mode_decodes_per_node(name, kind, spec):
     stored = json.loads(GOLDEN[name]["json"])
     assert "sim" not in stored
     assert decode(type(spec), stored).sim == PER_NODE
 
 
-def test_cache_file_from_before_the_mode_field_loads_per_node(tmp_path, monkeypatch):
+def test_cache_file_from_before_the_mode_field_loads_per_node(tmp_path):
     # A cache file as the codec wrote it before specs carried a mode:
     # the golden corpus pins those exact bytes.
-    monkeypatch.setenv(BATCHED_TICKS_ENV, "1")
     fingerprint = GOLDEN["single/spec-defaults"]["fingerprint"]
     path = tmp_path / SINGLE_RUN.name / f"{fingerprint}.json"
     path.parent.mkdir()
@@ -102,22 +94,17 @@ def test_cache_file_from_before_the_mode_field_loads_per_node(tmp_path, monkeypa
         )
     )
     cache = ResultCache(tmp_path, SINGLE_RUN)
-    ambient = RunSpec(manager="fair", pair=("EP", "DC"), cap_w_per_socket=70.0)
-    assert ambient.sim == BATCHED
-    assert cache.load(ambient) is None
-    result = cache.load(replace(ambient, sim=PER_NODE))
+    per_node = RunSpec(manager="fair", pair=("EP", "DC"), cap_w_per_socket=70.0)
+    assert cache.load(replace(per_node, sim=BATCHED)) is None
+    result = cache.load(per_node)
     assert result is not None and result.spec.sim == PER_NODE
 
 
 def test_batched_sweep_never_reads_a_per_node_entry(tmp_path, monkeypatch):
-    point = dict(manager="penelope", n_clients=4, release_at_s=1.0, observe_for_s=2.0)
-    monkeypatch.delenv(BATCHED_TICKS_ENV, raising=False)
-    per_node = ScalingSpec(**point)
+    per_node = ScalingSpec(manager="penelope", n_clients=4, release_at_s=1.0, observe_for_s=2.0)
     run_sweep([per_node], kind=SCALING_RUN, cache_dir=tmp_path)
 
-    monkeypatch.setenv(BATCHED_TICKS_ENV, "1")
-    batched = ScalingSpec(**point)
-    assert batched.sim == BATCHED
+    batched = replace(per_node, sim=BATCHED)
     loaded = []
     load = ResultCache.load
 

@@ -9,10 +9,11 @@ from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 
 def make_cluster(n=4, cap_per_socket=80.0, seed=0):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     config = ClusterConfig(
         n_nodes=n, system_power_budget_w=n * 2 * cap_per_socket
     )
@@ -42,7 +43,7 @@ class TestTraceNodes:
     def make_trace_cluster(self, n_nodes=2):
         from repro.workloads.traces import constant_trace
 
-        engine = Engine()
+        engine = Engine(sim=SIM)
         config = ClusterConfig(n_nodes=n_nodes, system_power_budget_w=n_nodes * 140.0)
         rngs = RngRegistry(seed=0)
         cluster = Cluster(engine, config, rngs, traces={0: constant_trace(100.0)})

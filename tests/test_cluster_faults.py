@@ -8,11 +8,12 @@ from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.faults import FaultPlan, kill_node_at, partition_at
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 @pytest.fixture
 def cluster():
-    engine = Engine()
+    engine = Engine(sim=SIM)
     config = ClusterConfig(n_nodes=4, system_power_budget_w=4 * 160.0)
     return Cluster(engine, config, RngRegistry(seed=0))
 
@@ -249,7 +250,7 @@ class TestSameTimestampOrdering:
 
     def test_replay_is_deterministic(self):
         def trace(seed):
-            engine = Engine()
+            engine = Engine(sim=SIM)
             config = ClusterConfig(n_nodes=4, system_power_budget_w=4 * 160.0)
             cluster = Cluster(engine, config, RngRegistry(seed=seed))
             order = []

@@ -20,13 +20,14 @@ from repro.managers.fair import FairManager
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 N = 6
 BUDGET = N * 2 * 65.0
 
 
 def build(manager=None, seed=5):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     rngs = RngRegistry(seed=seed)
     if manager is None:
         manager = PenelopeManager(

@@ -30,6 +30,7 @@ from repro.sim.engine import Engine, run_callable_at
 from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 DEADLINE_S = 4.0  # default escrow deadline: 2 * (timeout + period)
 
@@ -119,7 +120,7 @@ class TestMicroLeak:
 
 
 def build_penelope(n=6, seed=7, loss=0.0, escrow=True):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     rngs = RngRegistry(seed=seed)
     budget = n * 2 * 65.0
     config = PenelopeConfig(enable_escrow=escrow)

@@ -14,6 +14,7 @@ from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 SPEC = SKYLAKE_6126_NODE
 INITIAL_CAP = 160.0
@@ -23,7 +24,7 @@ class Rig:
     """One decider (node 0) plus a peer pool (node 1), fully controllable."""
 
     def __init__(self, config=None, peers=(1,)):
-        self.engine = Engine()
+        self.engine = Engine(sim=SIM)
         self.rngs = RngRegistry(seed=3)
         self.config = config or PenelopeConfig(stagger_start=False)
         self.network = Network(

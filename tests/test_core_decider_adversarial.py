@@ -26,6 +26,7 @@ from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 SPEC = SKYLAKE_6126_NODE
 INITIAL = 160.0
@@ -35,7 +36,7 @@ class AdversarialRig:
     """Decider on node 0; node 1 hosts a scripted (malicious) pool."""
 
     def __init__(self, reply_factory=None):
-        self.engine = Engine()
+        self.engine = Engine(sim=SIM)
         self.rngs = RngRegistry(seed=13)
         self.config = PenelopeConfig(stagger_start=False)
         self.network = Network(

@@ -17,6 +17,7 @@ from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 INITIAL = 160.0
 
@@ -26,7 +27,7 @@ class Rig:
 
     def __init__(self, n_peers=1, seed=21, **config_kwargs):
         config_kwargs.setdefault("stagger_start", False)
-        self.engine = Engine()
+        self.engine = Engine(sim=SIM)
         self.rngs = RngRegistry(seed=seed)
         self.config = PenelopeConfig(**config_kwargs)
         self.network = Network(

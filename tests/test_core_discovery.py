@@ -14,10 +14,11 @@ from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 def make_decider(discovery: str, peers=(1, 2, 3), membership=False):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     rngs = RngRegistry(seed=5)
     network = Network(
         engine, Topology(5, latency=LatencyModel(sigma=0.0)), rngs.stream("net")
@@ -200,6 +201,7 @@ class TestEndToEndStrategies:
                 workload_scale=0.15,
                 seed=6,
                 manager_config=PenelopeConfig(discovery=discovery),
+                sim=SIM,
             )
         )
         assert result.recorder.total_granted_w() > 0

@@ -11,10 +11,11 @@ from repro.core.manager import PenelopeManager
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 
 def build(n=4, cap=70.0, config=None, seed=0, scale=0.2):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     budget = n * 2 * cap
     cluster = Cluster(
         engine,

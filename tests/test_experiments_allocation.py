@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from repro.experiments.allocation import (
+    AllocationSpec,
     AllocationTrace,
     compare_allocation_quality,
     format_allocation,
-    measure_allocation_trace,
     oracle_allocation,
+    run_allocation_point,
 )
+from tests.conftest import SIM
 
 FAST = dict(
-    n_clients=6, workload_scale=0.3, observe_s=12.0, seed=3
+    n_clients=6, workload_scale=0.3, observe_s=12.0, seed=3, sim=SIM
 )
 
 
@@ -23,7 +25,7 @@ class TestOracle:
         from repro.experiments.harness import RunSpec, build_run
 
         spec = RunSpec("fair", ("EP", "DC"), 65.0, n_clients=6,
-                       workload_scale=0.3, seed=3)
+                       workload_scale=0.3, seed=3, sim=SIM)
         _, cluster, manager = build_run(spec)
         oracle = oracle_allocation(cluster, manager.client_ids, spec.budget_w)
         limits = cluster.config.spec
@@ -37,7 +39,7 @@ class TestOracle:
         from repro.experiments.harness import RunSpec, build_run
 
         spec = RunSpec("fair", ("EP", "DC"), 65.0, n_clients=6,
-                       workload_scale=0.3, seed=3)
+                       workload_scale=0.3, seed=3, sim=SIM)
         _, cluster, manager = build_run(spec)
         oracle = oracle_allocation(cluster, manager.client_ids, spec.budget_w)
         # Nodes 0-2 run EP (hungry), 3-5 run DC.
@@ -47,7 +49,7 @@ class TestOracle:
 class TestTrace:
     @pytest.fixture(scope="class")
     def penelope_trace(self):
-        return measure_allocation_trace("penelope", **FAST)
+        return run_allocation_point(AllocationSpec("penelope", **FAST))
 
     def test_shape(self, penelope_trace):
         assert penelope_trace.times.size == penelope_trace.mean_abs_deviation_w.size
@@ -67,7 +69,7 @@ class TestTrace:
             penelope_trace.steady_state_deviation_w(tail_fraction=0.0)
 
     def test_fair_never_moves(self):
-        trace = measure_allocation_trace("fair", **FAST)
+        trace = run_allocation_point(AllocationSpec("fair", **FAST))
         assert np.allclose(
             trace.mean_abs_deviation_w, trace.even_split_deviation_w
         )

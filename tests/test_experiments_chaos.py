@@ -25,6 +25,7 @@ from repro.experiments.chaos import (
     run_chaos_sweep,
 )
 from repro.experiments.serialize import canonical_json, decode, encode
+from tests.conftest import SIM
 
 SMOKE = ChaosSpec(
     n_clients=4,
@@ -35,6 +36,7 @@ SMOKE = ChaosSpec(
     flaps=1,
     bursts=1,
     burst_loss=0.05,
+    sim=SIM,
 )
 
 MEMBERSHIP_SMOKE = ChaosSpec(
@@ -48,6 +50,7 @@ MEMBERSHIP_SMOKE = ChaosSpec(
     partitions=1,
     enable_membership=True,
     membership_probe_period_s=0.5,
+    sim=SIM,
 )
 
 
@@ -249,8 +252,8 @@ class TestPinnedChaosDeterminism:
         # flaps and loss bursts cancel in-flight events, which is the
         # queue shape the nominal fixtures never exercise.
         # Batching is pinned off: the fixture bytes encode the staggered
-        # per-node trajectory, which the batcher only approximates (the
-        # CI matrix leg exports REPRO_BATCHED_TICKS=1).
+        # per-node trajectory, which the batcher only approximates (one
+        # CI leg runs the rest of the suite batched).
         import importlib.util
         import pathlib
 
@@ -308,6 +311,7 @@ class TestDetectorMetrics:
                 bursts=0,
                 enable_membership=True,
                 membership_probe_period_s=0.5,
+                sim=SIM,
             )
         )
         report = result.detector
@@ -344,7 +348,7 @@ class TestDetectorMetrics:
 
 class TestChaosSweep:
     def test_sweep_caches_and_replays(self, tmp_path):
-        specs = chaos_specs([3], **{
+        specs = chaos_specs([3], sim=SIM, **{
             k: getattr(SMOKE, k)
             for k in (
                 "n_clients", "duration_s", "workload_scale",

@@ -10,8 +10,9 @@ from repro.experiments.hardware_efficiency import (
     format_hardware_efficiency,
     run_hardware_efficiency,
 )
+from tests.conftest import SIM
 
-FAST = dict(total_nodes=9, budget_w=9 * 2 * 50.0, workload_scale=0.15, seed=2)
+FAST = dict(total_nodes=9, budget_w=9 * 2 * 50.0, workload_scale=0.15, seed=2, sim=SIM)
 
 
 class TestThroughputResult:

@@ -18,8 +18,9 @@ from repro.experiments.harness import (
 from repro.managers.base import ManagerConfig
 from repro.managers.slurm import SlurmConfig
 from repro.managers.slurm_ha import HaSlurmConfig
+from tests.conftest import SIM
 
-FAST = dict(n_clients=4, workload_scale=0.1, seed=0)
+FAST = dict(n_clients=4, workload_scale=0.1, seed=0, sim=SIM)
 
 
 class TestRegistry:
@@ -82,7 +83,7 @@ class TestFairConfigPlumbing:
     def test_build_run_passes_fair_config_through(self):
         spec = RunSpec(
             "fair", ("EP", "DC"), 80.0, n_clients=4,
-            manager_config=ManagerConfig(epsilon_w=9.0),
+            manager_config=ManagerConfig(epsilon_w=9.0), sim=SIM,
         )
         _, _, manager = build_run(spec)
         assert manager.config.epsilon_w == 9.0
@@ -148,7 +149,7 @@ class TestRunSingle:
         a = run_single(RunSpec("penelope", ("EP", "DC"), 70.0, **FAST))
         b = run_single(
             RunSpec("penelope", ("EP", "DC"), 70.0, n_clients=4,
-                    workload_scale=0.1, seed=99)
+                    workload_scale=0.1, seed=99, sim=SIM)
         )
         assert a.runtime_s != b.runtime_s
 

@@ -26,6 +26,7 @@ from repro.experiments.invariants import (
     register_invariant,
 )
 from repro.experiments.serialize import decode, encode
+from tests.conftest import SIM
 
 STORM = ChaosSpec(
     n_clients=4,
@@ -36,6 +37,7 @@ STORM = ChaosSpec(
     flaps=1,
     bursts=1,
     burst_loss=0.05,
+    sim=SIM,
 )
 
 
@@ -170,6 +172,7 @@ class TestLiveRuns:
                 partitions=1,
                 enable_membership=True,
                 membership_probe_period_s=0.5,
+                sim=SIM,
             )
         )
         assert result.violations == []

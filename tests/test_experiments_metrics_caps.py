@@ -9,6 +9,7 @@ from repro.experiments.metrics import (
     redistribution_time_from_caps,
 )
 from repro.instrumentation import MetricsRecorder
+from tests.conftest import SIM
 
 INITIAL = {2: 100.0, 3: 100.0}
 
@@ -112,7 +113,7 @@ class TestFixedCadence:
         from repro.sim.engine import Engine
         from repro.sim.rng import RngRegistry
 
-        engine = Engine()
+        engine = Engine(sim=SIM)
         rngs = RngRegistry(seed=0)
         network = Network(
             engine, Topology(2, latency=LatencyModel(sigma=0.0)), rngs.stream("n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.overhead import run_overhead_experiment
+from tests.conftest import SIM
 
 
 @pytest.fixture(scope="module")
@@ -12,7 +13,7 @@ def result():
     # Three representative apps at reduced scale keep the test fast;
     # full-scale all-app runs live in the benchmark.
     return run_overhead_experiment(
-        apps=("EP", "CG", "DC"), workload_scale=0.5, seed=1
+        apps=("EP", "CG", "DC"), workload_scale=0.5, seed=1, sim=SIM
     )
 
 

@@ -21,10 +21,11 @@ from repro.experiments.runner import (
     remove_progress_listener,
     run_sweep,
 )
+from tests.conftest import SIM
 
 #: Small but heterogeneous: three managers, two caps, two seeds.
 SPECS = [
-    RunSpec(manager, ("EP", "DC"), cap, n_clients=4, workload_scale=0.05, seed=seed)
+    RunSpec(manager, ("EP", "DC"), cap, n_clients=4, workload_scale=0.05, seed=seed, sim=SIM)
     for manager, cap, seed in (
         ("fair", 70.0, 0),
         ("penelope", 70.0, 0),

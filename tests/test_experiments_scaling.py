@@ -11,8 +11,9 @@ from repro.experiments.scaling import (
     sweep_frequency,
     sweep_scale,
 )
+from tests.conftest import SIM
 
-SMALL = dict(n_clients=32, observe_for_s=20.0, seed=2)
+SMALL = dict(n_clients=32, observe_for_s=20.0, seed=2, sim=SIM)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,7 @@ class TestFrequencyEffect:
         )
         fast = run_scaling_point(
             ScalingSpec(manager="penelope", frequency_hz=8.0,
-                        n_clients=32, observe_for_s=10.0, seed=2)
+                        n_clients=32, observe_for_s=10.0, seed=2, sim=SIM)
         )
         assert fast.redistribution_median_s < slow.redistribution_median_s
 
@@ -102,7 +103,7 @@ class TestFrequencyEffect:
         )
         fast = run_scaling_point(
             ScalingSpec(manager="penelope", frequency_hz=8.0,
-                        n_clients=32, observe_for_s=10.0, seed=2)
+                        n_clients=32, observe_for_s=10.0, seed=2, sim=SIM)
         )
         assert fast.turnaround_mean_s == pytest.approx(
             slow.turnaround_mean_s, rel=0.5
@@ -112,19 +113,19 @@ class TestFrequencyEffect:
 class TestScaleEffect:
     def test_slurm_turnaround_grows_with_scale(self):
         small = run_scaling_point(
-            ScalingSpec(manager="slurm", n_clients=16, observe_for_s=10.0, seed=2)
+            ScalingSpec(manager="slurm", n_clients=16, observe_for_s=10.0, seed=2, sim=SIM)
         )
         large = run_scaling_point(
-            ScalingSpec(manager="slurm", n_clients=128, observe_for_s=10.0, seed=2)
+            ScalingSpec(manager="slurm", n_clients=128, observe_for_s=10.0, seed=2, sim=SIM)
         )
         assert large.turnaround_mean_s > small.turnaround_mean_s
 
     def test_penelope_turnaround_flat_with_scale(self):
         small = run_scaling_point(
-            ScalingSpec(manager="penelope", n_clients=16, observe_for_s=10.0, seed=2)
+            ScalingSpec(manager="penelope", n_clients=16, observe_for_s=10.0, seed=2, sim=SIM)
         )
         large = run_scaling_point(
-            ScalingSpec(manager="penelope", n_clients=128, observe_for_s=10.0, seed=2)
+            ScalingSpec(manager="penelope", n_clients=128, observe_for_s=10.0, seed=2, sim=SIM)
         )
         assert large.turnaround_mean_s == pytest.approx(
             small.turnaround_mean_s, rel=0.5
@@ -135,7 +136,7 @@ class TestSweeps:
     def test_sweep_frequency_shape(self):
         results = sweep_frequency(
             frequencies_hz=(1.0, 4.0), n_clients=16, seed=1,
-            observe_for_s=8.0,
+            observe_for_s=8.0, sim=SIM,
         )
         assert set(results) == {
             ("penelope", 1.0), ("penelope", 4.0),
@@ -144,7 +145,7 @@ class TestSweeps:
 
     def test_sweep_scale_shape(self):
         results = sweep_scale(
-            scales=(16, 32), managers=("penelope",), seed=1, observe_for_s=8.0
+            scales=(16, 32), managers=("penelope",), seed=1, observe_for_s=8.0, sim=SIM
         )
         assert set(results) == {("penelope", 16), ("penelope", 32)}
 

@@ -11,6 +11,7 @@ from repro.experiments.scaling import (
     sweep_pairs,
 )
 from repro.power.domain import SKYLAKE_6126_NODE
+from tests.conftest import SIM
 
 SPEC = SKYLAKE_6126_NODE
 
@@ -48,7 +49,7 @@ class TestPairScalingPoints:
         result = run_scaling_point(
             ScalingSpec(
                 manager="penelope", n_clients=16, pair=("MG", "LU"),
-                observe_for_s=20.0, seed=1,
+                observe_for_s=20.0, seed=1, sim=SIM,
             )
         )
         assert result.available_w > 0
@@ -60,7 +61,7 @@ class TestPairScalingPoints:
         result = run_scaling_point(
             ScalingSpec(
                 manager="penelope", n_clients=16, pair=("DC", "EP"),
-                observe_for_s=15.0, seed=1,
+                observe_for_s=15.0, seed=1, sim=SIM,
             )
         )
         assert result.available_w == pytest.approx(0.0, abs=20.0)
@@ -73,7 +74,7 @@ class TestPairScalingPoints:
     def test_synthetic_mode_unaffected(self):
         result = run_scaling_point(
             ScalingSpec(manager="penelope", n_clients=16, observe_for_s=15.0,
-                        seed=1)
+                        seed=1, sim=SIM)
         )
         # Synthetic donors hold cap(140) - min(60) = 80 W each.
         assert result.available_w == pytest.approx(8 * 80.0, rel=0.05)
@@ -87,6 +88,7 @@ class TestSweepPairs:
             managers=("penelope",),
             observe_for_s=12.0,
             seed=1,
+            sim=SIM,
         )
         assert set(results) == {
             ("penelope", ("MG", "LU")),

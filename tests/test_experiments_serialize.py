@@ -38,7 +38,7 @@ from repro.net.messages import (
     ReleaseDirective,
 )
 from repro.net.network import NetworkStats
-from repro.sim.config import SimConfig
+from tests.conftest import SIM
 
 
 def json_round_trip(data):
@@ -211,6 +211,7 @@ def faulty_penelope_result():
             manager_config=PenelopeConfig(rate=0.3),
             fault_plan=FaultPlan().kill(0, 1.0),
             record_caps=True,
+            sim=SIM,
         )
     )
 
@@ -219,7 +220,7 @@ def faulty_penelope_result():
 def slurm_result():
     """A centralized run: network by_kind traffic and turnaround samples."""
     return run_single(
-        RunSpec("slurm", ("EP", "DC"), 70.0, n_clients=4, workload_scale=0.1)
+        RunSpec("slurm", ("EP", "DC"), 70.0, n_clients=4, workload_scale=0.1, sim=SIM)
     )
 
 
@@ -435,17 +436,11 @@ class TestCompatTable:
                     field.default is not dataclasses.MISSING
                     or field.default_factory is not dataclasses.MISSING
                 ), (name, field_name)
-            for field_name, _ in compat.late_values:
-                assert field_name in fields, (name, field_name)
 
     def test_absent_keys_decode_to_field_defaults(self):
         from repro.experiments.chaos import ChaosSpec
 
-        # Except the tick mode: absent means the per-node mode every spec
-        # recorded before specs carried one, whatever the environment.
-        assert serialize.decode(ChaosSpec, {}) == ChaosSpec(
-            sim=SimConfig(batched_ticks=False)
-        )
+        assert serialize.decode(ChaosSpec, {}) == ChaosSpec()
         assert serialize.decode(NetworkStats, {}) == NetworkStats()
         assert serialize.decode(FaultPlan, {}) == FaultPlan()
 

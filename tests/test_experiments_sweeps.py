@@ -14,10 +14,11 @@ from repro.experiments.faulty import (
     run_faulty_sweep,
 )
 from repro.experiments.nominal import run_nominal_sweep
+from tests.conftest import SIM
 
 PAIRS = [("EP", "DC"), ("CG", "LU")]
 CAPS = (60.0, 80.0)
-ARGS = dict(pairs=PAIRS, caps=CAPS, n_clients=6, workload_scale=0.15, seed=4)
+ARGS = dict(pairs=PAIRS, caps=CAPS, n_clients=6, workload_scale=0.15, seed=4, sim=SIM)
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +56,11 @@ class TestNominalSweep:
     def test_repetitions_aggregate(self):
         single = run_nominal_sweep(
             caps=(70.0,), pairs=[("EP", "DC")], n_clients=4,
-            workload_scale=0.1, seed=1,
+            workload_scale=0.1, seed=1, sim=SIM,
         )
         repeated = run_nominal_sweep(
             caps=(70.0,), pairs=[("EP", "DC")], n_clients=4,
-            workload_scale=0.1, seed=1, repetitions=3,
+            workload_scale=0.1, seed=1, repetitions=3, sim=SIM,
         )
         key = ("penelope", 70.0, ("EP", "DC"))
         # Same shape, different (averaged) values.

@@ -13,8 +13,9 @@ import pytest
 from repro.cluster.faults import FaultPlan
 from repro.experiments.harness import RunSpec, run_single
 from repro.experiments.metrics import released_watts
+from tests.conftest import SIM
 
-FAST = dict(n_clients=6, workload_scale=0.2, seed=11)
+FAST = dict(n_clients=6, workload_scale=0.2, seed=11, sim=SIM)
 PAIR = ("EP", "DC")  # maximally skewed: hungry kernel + I/O donor
 
 
@@ -95,7 +96,7 @@ class TestFaultClaims:
 class TestDeterminism:
     @pytest.mark.parametrize("manager", ["fair", "penelope", "slurm", "podd"])
     def test_bit_identical_reruns(self, manager):
-        spec = RunSpec(manager, PAIR, 70.0, n_clients=4, workload_scale=0.1, seed=3)
+        spec = RunSpec(manager, PAIR, 70.0, n_clients=4, workload_scale=0.1, seed=3, sim=SIM)
         a, b = run_single(spec), run_single(spec)
         assert a.runtime_s == b.runtime_s
         assert len(a.recorder.transactions) == len(b.recorder.transactions)
@@ -116,6 +117,7 @@ class TestUrgencyAblationEndToEnd:
                 seed=21,
                 manager_config=PenelopeConfig(enable_urgency=enable),
                 record_caps=True,
+                sim=SIM,
             )
             result = run_single(spec)
             initial = result.spec.budget_w / result.spec.n_clients

@@ -20,6 +20,7 @@ from repro.sim.engine import Engine
 from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 
 class TestLossModel:
@@ -55,7 +56,7 @@ class TestLossModel:
 
 
 def run_lossy(manager_name: str, loss: float, seed: int = 12):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     n = 6
     budget = n * 2 * 65.0
     extra = extra_nodes(manager_name)

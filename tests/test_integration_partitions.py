@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from repro.cluster.faults import FaultPlan
 from repro.experiments.harness import RunSpec, run_single
+from tests.conftest import SIM
 
-FAST = dict(n_clients=6, workload_scale=0.2, seed=17)
+FAST = dict(n_clients=6, workload_scale=0.2, seed=17, sim=SIM)
 PAIR = ("EP", "DC")
 
 

@@ -16,6 +16,7 @@ from repro.core.config import PenelopeConfig
 from repro.core.manager import PenelopeManager
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 def _install(n: int):
@@ -24,7 +25,7 @@ def _install(n: int):
     Returns the manager and the bytes the install left allocated.
     """
     cluster = Cluster(
-        Engine(),
+        Engine(sim=SIM),
         ClusterConfig(n_nodes=n, system_power_budget_w=n * 160.0),
         RngRegistry(seed=0),
     )

@@ -79,7 +79,7 @@ class TestRegistry:
 class TestR1WallClock:
     def test_bad_fixture_exact_lines(self):
         findings = findings_for("r1_bad.py", ["R1"])
-        assert rule_lines(findings, "R1") == [11, 15, 19, 23, 27, 31, 35]
+        assert rule_lines(findings, "R1") == [11, 15, 19, 23, 27, 31, 35, 39, 43]
         assert all(f.path.endswith("fixtures/lint/r1_bad.py") for f in findings)
 
     def test_good_fixture_silent(self):

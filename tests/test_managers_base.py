@@ -9,10 +9,11 @@ from repro.managers.base import BudgetAudit, ManagerConfig
 from repro.managers.fair import FairManager
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 def make_cluster(n=4, cap=80.0):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     config = ClusterConfig(n_nodes=n, system_power_budget_w=n * 2 * cap)
     return Cluster(engine, config, RngRegistry(seed=0))
 

@@ -11,10 +11,11 @@ from repro.managers.fair import FairManager
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 
 def build(n=4, cap=80.0, seed=0):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     budget = n * 2 * cap
     cluster = Cluster(
         engine,

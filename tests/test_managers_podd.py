@@ -10,6 +10,7 @@ from repro.managers.podd import PoddManager, proportional_caps
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 
 class TestProportionalCaps:
@@ -62,7 +63,7 @@ class TestProportionalCaps:
 
 class TestPoddManager:
     def build(self, n_clients=4, cap=75.0, seed=0):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         budget = n_clients * 2 * cap
         cluster = Cluster(
             engine,
@@ -110,7 +111,7 @@ class TestPoddManager:
         manager.start()
         podd_runtime = cluster.run_to_completion()
 
-        engine2 = Engine()
+        engine2 = Engine(sim=SIM)
         cluster2 = Cluster(
             engine2,
             ClusterConfig(n_nodes=5, system_power_budget_w=5 * 140.0),

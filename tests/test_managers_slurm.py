@@ -11,10 +11,11 @@ from repro.net.messages import PORT_DECIDER, Addr, PowerRequest
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
 
 def build(n_clients=4, cap=80.0, config=None, seed=0, assign=True, scale=0.2):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     budget = n_clients * 2 * cap
     cluster_config = ClusterConfig(
         n_nodes=n_clients + 1,
@@ -72,7 +73,7 @@ class TestTopologyWiring:
         assert 4 not in manager.clients
 
     def test_explicit_server_node(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         cluster = Cluster(
             engine,
             ClusterConfig(n_nodes=3, system_power_budget_w=3 * 160.0),
@@ -83,7 +84,7 @@ class TestTopologyWiring:
         assert manager.server_node_id == 0
 
     def test_server_node_cannot_be_client(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         cluster = Cluster(
             engine,
             ClusterConfig(n_nodes=3, system_power_budget_w=3 * 160.0),
@@ -94,7 +95,7 @@ class TestTopologyWiring:
             manager.install(cluster, client_ids=[1, 2], budget_w=320.0)
 
     def test_no_spare_node_rejected(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         cluster = Cluster(
             engine,
             ClusterConfig(n_nodes=2, system_power_budget_w=2 * 160.0),
@@ -140,7 +141,7 @@ class TestServerBehaviour:
         runtime = cluster.run_to_completion()
         manager.audit().check()
 
-        engine2 = Engine()
+        engine2 = Engine(sim=SIM)
         cluster2 = Cluster(
             engine2,
             ClusterConfig(n_nodes=5, system_power_budget_w=5 * 130.0),

@@ -21,6 +21,7 @@ from repro.power.domain import SKYLAKE_6126_NODE
 from repro.power.rapl import SimulatedRapl
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 SPEC = SKYLAKE_6126_NODE
 INITIAL = 160.0
@@ -31,7 +32,7 @@ class Rig:
     """One SLURM client plus a scripted central server."""
 
     def __init__(self, grant_w=0.0, config=None, server_running=True):
-        self.engine = Engine()
+        self.engine = Engine(sim=SIM)
         self.rngs = RngRegistry(seed=9)
         self.config = config or SlurmConfig(stagger_start=False)
         self.network = Network(

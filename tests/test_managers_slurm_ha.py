@@ -12,13 +12,14 @@ from repro.managers.slurm_ha import HaSlurmConfig, HaSlurmManager
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.workloads.generator import assign_pair_to_cluster
+from tests.conftest import SIM
 
-FAST = dict(n_clients=6, workload_scale=0.2, seed=3)
+FAST = dict(n_clients=6, workload_scale=0.2, seed=3, sim=SIM)
 PAIR = ("EP", "DC")
 
 
 def build(n_clients=4, cap=70.0, config=None, seed=0):
-    engine = Engine()
+    engine = Engine(sim=SIM)
     budget = n_clients * 2 * cap
     cluster = Cluster(
         engine,
@@ -56,7 +57,7 @@ class TestWiring:
         assert manager.standby.node_id == 5
 
     def test_needs_two_spare_nodes(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         cluster = Cluster(
             engine,
             ClusterConfig(n_nodes=3, system_power_budget_w=3 * 160.0),
@@ -67,7 +68,7 @@ class TestWiring:
             manager.install(cluster, client_ids=[0, 1], budget_w=320.0)
 
     def test_explicit_server_nodes(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         cluster = Cluster(
             engine,
             ClusterConfig(n_nodes=4, system_power_budget_w=4 * 160.0),

@@ -30,6 +30,7 @@ from repro.net.network import Network
 from repro.net.topology import LatencyModel, Topology
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 TTL_S = 3.0
 
@@ -63,7 +64,7 @@ class ScanOracle:
 
 
 def make_server() -> SlurmServer:
-    engine = Engine()
+    engine = Engine(sim=SIM)
     rngs = RngRegistry(seed=1)
     network = Network(
         engine, Topology(8, latency=LatencyModel(sigma=0.0)), rngs.stream("net")

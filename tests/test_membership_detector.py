@@ -18,6 +18,7 @@ from repro.net.roster import Roster
 from repro.net.topology import LatencyModel, Topology
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 PERIOD = 0.5
 
@@ -28,7 +29,7 @@ class Rig:
         config_kwargs.setdefault("membership_probe_period_s", PERIOD)
         config_kwargs.setdefault("membership_probe_timeout_s", 0.2)
         config_kwargs.setdefault("membership_suspect_timeout_s", 2 * PERIOD)
-        self.engine = Engine()
+        self.engine = Engine(sim=SIM)
         self.rngs = RngRegistry(seed=seed)
         self.config = PenelopeConfig(**config_kwargs)
         self.topology = Topology(n, latency=LatencyModel(sigma=0.0))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.instrumentation import MetricsRecorder, merge_recorders
-from repro.power.domain import SKYLAKE_6126_NODE
 from repro.sim.engine import Engine, run_callable_at
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 class TestClusterViews:
@@ -16,7 +16,7 @@ class TestClusterViews:
     def cluster(self):
         from repro.cluster.cluster import Cluster, ClusterConfig
 
-        engine = Engine()
+        engine = Engine(sim=SIM)
         return Cluster(
             engine,
             ClusterConfig(n_nodes=3, system_power_budget_w=3 * 160.0),

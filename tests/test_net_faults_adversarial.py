@@ -22,6 +22,7 @@ from repro.net.topology import LatencyModel, Topology
 from repro.sim.engine import Engine
 from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ def net(engine, rngs):
 
 @pytest.fixture
 def cluster():
-    engine = Engine()
+    engine = Engine(sim=SIM)
     config = ClusterConfig(n_nodes=4, system_power_budget_w=4 * 160.0)
     return Cluster(engine, config, RngRegistry(seed=0))
 
@@ -91,7 +92,7 @@ class TestDuplication:
         # must deliver the *original* copies at identical times: the
         # duplicate draws come from their own stream.
         def arrival_times(duplicate):
-            eng = Engine()
+            eng = Engine(sim=SIM)
             topology = Topology(4, latency=LatencyModel())  # sigma > 0
             net = Network(eng, topology, RngRegistry(seed=5).stream("net"))
             times = []
@@ -260,7 +261,7 @@ class TestInjectorArming:
             plan.install(cluster)
 
 
-def _managed(n=4, sim=None):
+def _managed(n=4, sim=SIM):
     from repro.core.manager import PenelopeManager
     from repro.workloads.generator import assign_pair_to_cluster
 

@@ -9,6 +9,7 @@ from repro.net.messages import PORT_DECIDER, PORT_POOL, Addr, PowerGrant, PowerR
 from repro.net.network import Network
 from repro.net.topology import LatencyModel, Topology
 from repro.sim.resources import Store
+from tests.conftest import SIM
 
 
 @pytest.fixture
@@ -254,7 +255,7 @@ class TestStreamAlignment:
     def _arrival_time(kill_first_sender: bool) -> float:
         from repro.sim.engine import Engine
 
-        engine = Engine()
+        engine = Engine(sim=SIM)
         rng = np.random.default_rng(42)
         net = Network(engine, Topology(4, latency=LatencyModel(sigma=0.3)), rng)
         inbox = Store(engine)

@@ -13,6 +13,7 @@ from repro.power.sockets import (
     speed_with_sockets,
     split_cap_w,
 )
+from tests.conftest import SIM
 
 SPEC = SKYLAKE_6126_NODE  # 2 sockets, idle 15 W/socket
 
@@ -144,7 +145,7 @@ class TestExecutorIntegration:
         def run(imbalance, policy):
             from repro.sim.engine import Engine
 
-            local_engine = Engine()
+            local_engine = Engine(sim=SIM)
             import numpy as np
 
             node = SimNode(

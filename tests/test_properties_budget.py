@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.harness import RunSpec, build_run
 from repro.workloads.apps import APP_NAMES
+from tests.conftest import SIM
 
 app_names = st.sampled_from(APP_NAMES)
 
@@ -31,6 +32,7 @@ def run_specs(draw, manager):
         n_clients=draw(st.integers(2, 6)),
         seed=draw(st.integers(0, 10_000)),
         workload_scale=0.08,
+        sim=SIM,
     )
 
 

@@ -14,6 +14,7 @@ from repro.power.rapl import SimulatedRapl
 from repro.sim.engine import Engine
 from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 
 class TestMessageConservation:
@@ -31,7 +32,7 @@ class TestMessageConservation:
     def test_every_message_delivered_or_counted_dropped(
         self, sends, attached, dead, capacity
     ):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         rngs = RngRegistry(seed=1)
         network = Network(
             engine, Topology(5, latency=LatencyModel(sigma=0.0)), rngs.stream("n")
@@ -67,7 +68,7 @@ class TestRaplEnergyConservation:
     def test_windowed_reads_reconstruct_total_energy(self, steps):
         """Sum of (read average x window) == exact integral of the
         piecewise-constant consumption, regardless of read timing."""
-        engine = Engine()
+        engine = Engine(sim=SIM)
         rapl = SimulatedRapl(
             engine,
             SKYLAKE_6126_NODE,
@@ -93,7 +94,7 @@ class TestRaplEnergyConservation:
     )
     @settings(max_examples=60, deadline=None)
     def test_requested_cap_always_safe(self, caps):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         rapl = SimulatedRapl(
             engine, SKYLAKE_6126_NODE, np.random.default_rng(0)
         )

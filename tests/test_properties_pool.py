@@ -12,6 +12,7 @@ from repro.net.messages import PORT_DECIDER, Addr, PowerRequest
 from repro.net.topology import LatencyModel, Topology
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from tests.conftest import SIM
 
 watts = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
 positive_watts = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False)
@@ -38,7 +39,7 @@ class TestClampTransactionProperties:
 
 
 def make_pool():
-    engine = Engine()
+    engine = Engine(sim=SIM)
     rngs = RngRegistry(seed=0)
     network = Network(
         engine, Topology(2, latency=LatencyModel(sigma=0.0)), rngs.stream("net")

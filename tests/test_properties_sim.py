@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.resources import Store
+from tests.conftest import SIM
 
 delays = st.lists(st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=30)
 
@@ -15,7 +16,7 @@ class TestClockMonotonicity:
     @given(delays=delays)
     @settings(max_examples=80, deadline=None)
     def test_events_observe_nondecreasing_time(self, delays):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         observed = []
         for delay in delays:
             def proc(delay=delay):
@@ -30,7 +31,7 @@ class TestClockMonotonicity:
     @given(delays=delays)
     @settings(max_examples=40, deadline=None)
     def test_run_until_never_overshoots(self, delays):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         for delay in delays:
             engine.timeout(delay)
         horizon = max(delays) / 2
@@ -45,7 +46,7 @@ class TestStoreConservation:
     )
     @settings(max_examples=80, deadline=None)
     def test_items_are_never_duplicated_or_invented(self, capacity, items):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         store = Store(engine, capacity=capacity)
         accepted = [item for item in items if store.try_put(item)]
         drained = store.drain()
@@ -56,7 +57,7 @@ class TestStoreConservation:
     @given(items=st.lists(st.integers(), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_fifo_order_preserved_through_getters(self, items):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         store = Store(engine)
         received = []
 
@@ -78,7 +79,7 @@ class TestDeterminism:
         def simulate():
             from repro.sim.rng import RngRegistry
 
-            engine = Engine()
+            engine = Engine(sim=SIM)
             rng = RngRegistry(seed=seed).stream("x")
             trace = []
             def proc():

@@ -21,6 +21,7 @@ from repro.experiments.runner import (
     spec_fingerprint,
 )
 from repro.managers.slurm import SlurmConfig
+from tests.conftest import SIM
 
 # -- counting stub: proves when the run function actually executes -----------
 
@@ -203,7 +204,7 @@ class TestCorruptionFallback:
 class TestSingleRunCache:
     def test_cached_run_result_is_byte_identical(self, tmp_path):
         spec = RunSpec(
-            "penelope", ("EP", "DC"), 70.0, n_clients=4, workload_scale=0.05
+            "penelope", ("EP", "DC"), 70.0, n_clients=4, workload_scale=0.05, sim=SIM
         )
         fresh = run_sweep([spec], cache_dir=tmp_path)[0]
         events = []

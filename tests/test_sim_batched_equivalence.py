@@ -30,7 +30,7 @@ from repro.core.batcher import TickBatcher
 from repro.core.config import PenelopeConfig
 from repro.experiments.harness import RunSpec, build_run, run_single
 from repro.experiments.serialize import canonical_json, encode
-from repro.sim.config import BATCHED_TICKS_ENV, SimConfig
+from repro.sim.config import SimConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -145,12 +145,7 @@ class TestBatcherGating:
             manager.stop()
         assert manager._batcher is None
 
-    def test_default_config_leaves_batching_off(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        # The *environment-free* default: REPRO_BATCHED_TICKS may be
-        # exported by the CI matrix leg, so clear it before asserting.
-        monkeypatch.delenv(BATCHED_TICKS_ENV, raising=False)
+    def test_default_config_leaves_batching_off(self) -> None:
         spec = RunSpec(
             "penelope", ("EP", "DC"), 70.0, n_clients=4, seed=7,
             workload_scale=0.1,
@@ -188,9 +183,8 @@ class TestPinnedFixturesStayOff:
     )
     def test_fixture_replay_with_batching_explicitly_off(self, name: str) -> None:
         # The pinned fixtures encode the *staggered per-node* trajectory;
-        # SimConfig(batched_ticks=False) must reproduce them even when
-        # the environment asks for batching (the CI matrix leg exports
-        # REPRO_BATCHED_TICKS=1 while these bytes stay frozen).
+        # SimConfig(batched_ticks=False) must reproduce them even on the
+        # CI leg that runs the rest of the suite batched.
         spec_module = importlib.util.spec_from_file_location(
             "generate_kernel_fixtures", FIXTURES / "generate_kernel_fixtures.py"
         )

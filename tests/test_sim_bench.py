@@ -168,8 +168,8 @@ class TestPinnedTrajectoryDeterminism:
     def test_byte_identical_to_pinned_fixture(self, name):
         # The fixture bytes are the determinism contract.  Batching is
         # pinned off: the bytes encode the staggered per-node
-        # trajectory, which the batcher only approximates (the CI
-        # matrix leg exports REPRO_BATCHED_TICKS=1).
+        # trajectory, which the batcher only approximates (one CI leg
+        # runs the rest of the suite batched).
         module = _fixture_module()
         spec = module.FIXTURE_SPECS[name]
         expected = (FIXTURES / f"{name}.json").read_text()

@@ -10,6 +10,7 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine, SimulationError, run_callable_at
 from repro.sim.events import Event
 from repro.sim.schedulers import HeapScheduler
+from tests.conftest import SIM
 
 
 class TestClock:
@@ -17,7 +18,7 @@ class TestClock:
         assert engine.now == 0.0
 
     def test_custom_start_time(self):
-        assert Engine(start_time=5.0).now == 5.0
+        assert Engine(start_time=5.0, sim=SIM).now == 5.0
 
     def test_timeout_advances_clock(self, engine):
         engine.timeout(2.5)
@@ -173,7 +174,7 @@ class TestRunUntilHorizon:
     """
 
     def test_event_exactly_at_horizon_is_processed(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         fired = []
         engine.call_later(5.0, fired.append, "at-horizon")
         engine.call_later(5.000001, fired.append, "past-horizon")
@@ -182,12 +183,12 @@ class TestRunUntilHorizon:
         assert engine.now == 5.0
 
     def test_empty_queue_still_advances_clock_to_until(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         engine.run(until=42.0)
         assert engine.now == 42.0
 
     def test_events_past_horizon_stay_queued(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         fired = []
         engine.call_later(10.0, fired.append, "later")
         engine.run(until=5.0)
@@ -196,7 +197,7 @@ class TestRunUntilHorizon:
         assert fired == ["later"]
 
     def test_peek_skips_a_fully_cancelled_bucket_head(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         # Several same-time entries at the queue head, all cancelled:
         # peek() must lazily discard the whole cluster and report the
         # first live entry behind it.
@@ -211,7 +212,7 @@ class TestRunUntilHorizon:
         assert engine.now == survivor_at
 
     def test_run_until_horizon_counts_cancelled_entries(self):
-        engine = Engine()
+        engine = Engine(sim=SIM)
         cancelled = engine.timeout(3.0)
         engine.call_later(1.0, cancelled.cancel)
         engine.call_later(4.0, lambda: None)

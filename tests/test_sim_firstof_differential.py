@@ -19,6 +19,7 @@ import pytest
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import EventBase, FirstOf
+from tests.conftest import SIM
 
 
 class ConditionValue:
@@ -110,7 +111,7 @@ def run_wait(
     ``swap`` reverses the order in which the two pending firings are
     scheduled, which decides who goes first when they share an instant.
     """
-    engine = Engine()
+    engine = Engine(sim=SIM)
     events = [engine.event(), engine.event()]
     for event, (kind, _, ok) in zip(events, states):
         if kind == "processed":

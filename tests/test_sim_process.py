@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.process import Interrupt, Process
+from tests.conftest import SIM
 
 
 class TestProcessBasics:
@@ -82,7 +83,7 @@ class TestProcessBasics:
         assert engine.active_process is None
 
     def test_cross_engine_yield_fails(self, engine):
-        other = Engine()
+        other = Engine(sim=SIM)
 
         def worker():
             yield other.timeout(1.0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.sim.engine import Engine
 from repro.sim.schedulers import HeapScheduler
+from tests.conftest import SIM
 
 
 class _FakeEvent:
@@ -122,7 +123,7 @@ class TestEngineStorm:
         # plus thousands of timeouts that are cancelled before firing
         # (answered requests cancelling their deadlines).  The queue
         # must not accumulate the corpses.
-        engine = Engine()
+        engine = Engine(sim=SIM)
         engine.call_later(1000.0, lambda: None)
         for wave in range(20):
             timeouts = [engine.timeout(500.0 + wave) for _ in range(200)]
@@ -136,7 +137,7 @@ class TestEngineStorm:
         assert engine.processed_events == 1
 
     def test_cancelled_count_is_eager_and_idempotent(self) -> None:
-        engine = Engine()
+        engine = Engine(sim=SIM)
         timeout = engine.timeout(5.0)
         timeout.cancel()
         assert engine.cancelled_events == 1

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.schedulers import HeapScheduler
+from tests.conftest import SIM
 
 # ---------------------------------------------------------------------------
 # Queue-level differential workloads
@@ -201,7 +202,7 @@ def _engine_trace(schedule, horizon, mode, slices=1):
     moves the clock).  Returns the trace plus ``(now, processed,
     cancelled)`` at the horizon and after the drain.
     """
-    engine = Engine()
+    engine = Engine(sim=SIM)
     trace = []
 
     def note(tag):
